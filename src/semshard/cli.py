@@ -20,7 +20,7 @@ import numpy as np
 
 from . import consensus
 from .config import (RunConfig, config_hash, default_grid, load_config,
-                     parse_grid, write_manifest)
+                     parse_grid, read_manifest, write_manifest)
 from .core import (ConfigError, Content, InvalidShardingError, NetworkConfig,
                    Rng, VerifierNode, make_sharding_state)
 from .dqn import (TrainRow, save_network, train, write_training_csv)
@@ -125,15 +125,18 @@ def run_sweep_cell(base: RunConfig, out_dir: str, nodes: int, rate: float,
     """Run (or resume) one sweep cell; returns its (epoch, mean_reward) rows.
 
     Cells are fully determined by (config, nodes, rate, seed, policy), so the
-    result is the same whether cells run serially or in parallel. Cells with
-    an existing manifest are reused as-is.
+    result is the same whether cells run serially or in parallel. A cell
+    whose manifest carries this cell's config hash is reused as-is; any other
+    is recomputed.
     """
     network = replace(base.network, nodes_initial=nodes, rate_max=rate,
                       seed=seed)
     cfg = RunConfig(network=network, agent=base.agent)
     cell = Path(out_dir) / "cells" / f"n{nodes}_r{int(rate)}_s{seed}_{policy}"
     rewards_path = cell / "rewards.csv"
-    if (cell / "manifest.json").exists() and rewards_path.exists():
+    manifest_path = cell / "manifest.json"
+    if (manifest_path.exists() and rewards_path.exists()
+            and read_manifest(manifest_path)["config_hash"] == config_hash(cfg)):
         return _read_reward_rows(rewards_path)
 
     cell.mkdir(parents=True, exist_ok=True)

@@ -258,20 +258,6 @@ def verify_commitment(c: Commitment, vector: np.ndarray, salt: bytes) -> bool:
     return hashlib.sha256(_encode_vector(vector) + salt).digest() == c.digest
 
 
-class Sha256CommitmentScheme:
-    """Default proof scheme: binding hash commitments.
-
-    Any object with the same commit/verify surface can stand in for it, e.g.
-    a real succinct-proof backend.
-    """
-
-    def commit(self, vector: np.ndarray, salt: bytes) -> Commitment:
-        return commit(vector, salt)
-
-    def verify(self, c: Commitment, vector: np.ndarray, salt: bytes) -> bool:
-        return verify_commitment(c, vector, salt)
-
-
 def random_salt(rng: Rng) -> bytes:
     return rng.bytes(16)
 

@@ -15,11 +15,6 @@ class InvalidShardingError(ValueError):
     """Raised when a requested shard count cannot be satisfied by the node set."""
 
 
-# PBFT is the only consensus algorithm with a defined message-complexity model.
-# The tuple is ordered so the enumeration index is stable.
-CONSENSUS_ALGORITHMS = ("pbft",)
-
-
 @dataclass
 class NetworkConfig:
     """All exogenous simulation constants and scenario parameters.
@@ -74,6 +69,12 @@ class NetworkConfig:
             raise ConfigError("network.min_shard_size: must be >= 4")
         if self.nodes_min > self.nodes_max:
             raise ConfigError("network.nodes_max: must be >= nodes_min")
+        for name in ("nodes_min", "nodes_initial"):
+            # fewer nodes than one shard needs cannot be partitioned
+            if getattr(self, name) < self.min_shard_size:
+                raise ConfigError(f"network.{name}: must be >= min_shard_size")
+        if self.nodes_initial > self.nodes_max:
+            raise ConfigError("network.nodes_initial: exceeds nodes_max")
         if not 0.0 <= self.accuracy_threshold <= 1.0:
             raise ConfigError("network.accuracy_threshold: must be in [0, 1]")
         if self.seed < 0 or self.seed > 2**64 - 1:
@@ -93,7 +94,6 @@ class ShardingState:
     message_size: int
     shard_sizes: tuple[int, ...]
     leader_ids: tuple[int, ...]
-    consensus_algorithm: str = "pbft"
 
     def validate(self, cfg: NetworkConfig) -> None:
         """Raise InvalidShardingError unless all structural invariants hold."""
@@ -113,9 +113,6 @@ class ShardingState:
             raise InvalidShardingError(f"message size {s} out of range")
         if len(self.leader_ids) != k:
             raise InvalidShardingError("need exactly one leader per shard")
-        if self.consensus_algorithm not in CONSENSUS_ALGORITHMS:
-            raise InvalidShardingError(
-                f"unknown consensus algorithm {self.consensus_algorithm!r}")
 
     def is_valid(self, cfg: NetworkConfig) -> bool:
         try:
@@ -131,15 +128,12 @@ class VerifierNode:
 
     id: int
     knowledge: np.ndarray
-    balance: int = 0
 
     def __post_init__(self):
         self.knowledge = np.asarray(self.knowledge, dtype=float)
         norm = float(np.linalg.norm(self.knowledge))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"knowledge vector norm {norm} != 1")
-        if self.balance < 0:
-            raise ValueError("balance must be non-negative")
 
 
 @dataclass

@@ -9,6 +9,8 @@ out (and checked against finite differences in the tests).
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,6 +42,9 @@ class Hyperparameters:
                      "epochs", "buffer_capacity", "hidden_units"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"agent.{name}: must be strictly positive")
+        if self.buffer_capacity < self.batch_size:
+            # the buffer would never hold a batch, so no gradient step is taken
+            raise ConfigError("agent.buffer_capacity: must be >= batch_size")
 
 
 class QNetwork:
@@ -145,24 +150,13 @@ def act(net: QNetwork, obs: np.ndarray, epsilon: float, rng: Rng) -> Action:
     return Action(int(np.argmax(net.forward(obs))))
 
 
-def _as_arrays(batch):
-    if isinstance(batch, tuple):
-        return batch
-    obs = np.stack([t.observation for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.int64)
-    rewards = np.array([t.reward for t in batch])
-    next_obs = np.stack([t.next_observation for t in batch])
-    terminals = np.array([t.terminal for t in batch], dtype=bool)
-    return obs, actions, rewards, next_obs, terminals
-
-
 def td_targets(batch, target_net: QNetwork, discount: float) -> np.ndarray:
     """y = r + discount * max_a Q_target(s', a); y = r on terminal transitions.
 
-    Accepts a sequence of Transition or the array bundle from
+    batch is the (obs, actions, rewards, next_obs, terminals) bundle from
     ReplayBuffer.sample().
     """
-    _, _, rewards, next_obs, terminals = _as_arrays(batch)
+    _, _, rewards, next_obs, terminals = batch
     best_next = target_net.forward(next_obs).max(axis=1)
     return rewards + discount * best_next * ~terminals
 
@@ -288,20 +282,26 @@ def save_network(net: QNetwork, path) -> None:
 
 
 def load_network(path) -> QNetwork:
+    """Read a save_network file; ValueError on a malformed one.
+
+    The size the header's dims imply is checked against the file size before
+    any array is allocated.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(NETWORK_MAGIC))
+        header = fh.read(len(NETWORK_MAGIC) + 12)
+        magic, dims = header[:len(NETWORK_MAGIC)], header[len(NETWORK_MAGIC):]
         if magic != NETWORK_MAGIC:
             raise ValueError(f"not a serialized Q network: magic {magic!r}")
-        input_size, hidden_size, output_size = struct.unpack("<III",
-                                                             fh.read(12))
+        if len(dims) < 12:
+            raise ValueError("truncated network file header")
+        input_size, hidden_size, output_size = struct.unpack("<III", dims)
+        shapes = (("w1", (input_size, hidden_size)), ("b1", (hidden_size,)),
+                  ("w2", (hidden_size, output_size)), ("b2", (output_size,)))
+        needed = 8 * sum(math.prod(shape) for _, shape in shapes)
+        if os.fstat(fh.fileno()).st_size - len(header) < needed:
+            raise ValueError("truncated network file")
         net = QNetwork(input_size, hidden_size, output_size)
-        for name, shape in (("w1", (input_size, hidden_size)),
-                            ("b1", (hidden_size,)),
-                            ("w2", (hidden_size, output_size)),
-                            ("b2", (output_size,))):
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            if data.size != count:
-                raise ValueError("truncated network file")
+        for name, shape in shapes:
+            data = np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
             setattr(net, name, data.reshape(shape).copy())
     return net

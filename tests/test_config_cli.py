@@ -51,6 +51,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="discount"):
             load_config(str(path), environ={})
 
+    def _rejected(self, tmp_path, text, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path), environ={})
+
+    def test_nodes_min_below_shard_size_named(self, tmp_path):
+        # would load, then fail mid-episode once churn walks down to 2 nodes
+        self._rejected(tmp_path, "[network]\nnodes_min = 2\nnodes_initial = 6\n",
+                       "network.nodes_min")
+
+    def test_nodes_initial_below_shard_size_named(self, tmp_path):
+        self._rejected(tmp_path, "[network]\nnodes_initial = 3\n",
+                       "network.nodes_initial")
+
+    def test_nodes_initial_above_nodes_max_named(self, tmp_path):
+        self._rejected(tmp_path, "[network]\nnodes_initial = 601\n",
+                       "network.nodes_initial")
+
+    def test_buffer_smaller_than_batch_named(self, tmp_path):
+        # the buffer could never hold a batch: zero gradient steps
+        self._rejected(tmp_path, "[agent]\nbuffer_capacity = 63\n",
+                       "agent.buffer_capacity")
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="readable"):
             load_config("/no/such/file.cfg", environ={})
@@ -208,6 +232,22 @@ class TestCmdSweep:
         assert cli.main(args) == 0
         content = (out / "sweep.csv").read_text()
         assert "123.5" in content
+
+    def test_resume_recomputes_cells_of_another_config(self, tmp_path):
+        grid = ["--grid", "nodes=60;rates=60;seeds=3"]
+        resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+        for epochs, out in ((2, resumed), (4, resumed), (4, fresh)):
+            cfg_path = tmp_path / f"epochs{epochs}.cfg"
+            cfg_path.write_text(SMALL_CFG.replace("epochs = 4",
+                                                  f"epochs = {epochs}"))
+            assert cli.main(["sweep", str(cfg_path), "--out", str(out),
+                             *grid]) == 0
+        with open(resumed / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for policy in ("adaptive", "baseline"):
+            assert sum(r["policy"] == policy for r in rows) == 4
+        assert (resumed / "sweep.csv").read_bytes() \
+            == (fresh / "sweep.csv").read_bytes()
 
     def test_parallel_equals_serial(self, tmp_path):
         cfg_path = tmp_path / "cfg.cfg"

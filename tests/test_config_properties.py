@@ -1,0 +1,79 @@
+"""A config that constructs must run: random-policy episodes with node churn,
+and a gradient step as soon as the replay buffer holds a batch."""
+
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from semshard.core import ConfigError, NetworkConfig, Rng
+from semshard.dqn import Hyperparameters, QNetwork, ReplayBuffer, train_step
+from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv, Transition
+
+# Bounded so the test takes a few seconds. Node counts often fall near
+# min_shard_size, where the validators draw the line.
+node_counts = st.integers(1, 12) | st.integers(1, 600)
+
+
+def ordered(values):
+    return st.tuples(values, values).map(sorted)
+
+
+@st.composite
+def network_configs(draw):
+    nodes_max = draw(st.integers(1, 600))
+    size_lo, size_hi = draw(ordered(st.integers(8_000, 8_000_000)))
+    rate_lo, rate_hi = draw(ordered(st.floats(1e6, 1e8)))
+    try:
+        return NetworkConfig(
+            nodes_min=min(draw(node_counts), nodes_max),
+            nodes_initial=min(draw(node_counts), nodes_max),
+            nodes_max=nodes_max, node_walk_step=draw(st.integers(1, 50)),
+            min_shard_size=draw(st.integers(4, 10)),
+            rounds_per_episode=draw(st.integers(1, 10)),
+            tx_size=draw(st.integers(1_000, 8_000)),
+            message_size_min=size_lo, avg_message_size_max=size_hi,
+            message_size_step=draw(st.integers(1, 8_000_000)),
+            rate_min=rate_lo, rate_max=rate_hi,
+            semantic_time_max=draw(st.floats(0.01, 30.0)),
+            seed=draw(st.integers(0, 2**64 - 1)))
+    except ConfigError:
+        assume(False)
+
+
+@st.composite
+def hyperparameters(draw):
+    try:
+        return Hyperparameters(
+            learning_rate=draw(st.floats(1e-4, 0.1)),
+            discount=draw(st.floats(0.01, 0.99)),
+            epsilon=draw(st.floats(0.0, 1.0)),
+            batch_size=draw(st.integers(1, 16)),
+            buffer_capacity=draw(st.integers(1, 32)),
+            hidden_units=draw(st.integers(1, 16)))
+    except ConfigError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=network_configs(), hp=hyperparameters())
+def test_constructible_configs_run(cfg, hp):
+    rng = Rng(cfg.seed)
+    env = ShardEnv(cfg)
+    net = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
+    target = net.clone()
+    buffer = ReplayBuffer(hp.buffer_capacity)
+    # at least one whole episode, and at least batch_size pushes
+    for pushes in range(1, max(cfg.rounds_per_episode, hp.batch_size) + 1):
+        if env.terminal:
+            obs = env.reset(rng)
+        action = Action(int(rng.integers(0, NUM_ACTIONS - 1)))
+        next_obs, reward, terminal, _ = env.step(action, rng)
+        assert math.isfinite(reward) and reward > 0.0
+        buffer.push(Transition(obs, int(action), reward, next_obs, terminal))
+        obs = next_obs
+        loss = train_step(net, target, buffer, hp, rng)
+        if pushes < hp.batch_size:
+            assert loss is None
+        else:
+            assert isinstance(loss, float)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -83,21 +84,28 @@ class TestAct:
         assert np.all(np.abs(counts - draws * 0.2) < 3 * sigma)
 
 
+def zero_obs_bundle(actions, rewards, terminals):
+    """A ReplayBuffer.sample()-shaped batch with all-zero observations."""
+    n = len(actions)
+    return (np.zeros((n, OBS)), np.array(actions, dtype=np.int64),
+            np.array(rewards, dtype=float), np.zeros((n, OBS)),
+            np.array(terminals, dtype=bool))
+
+
 class TestTdTargets:
     def test_bootstrap_value(self):
         target = toy_net([2.0, 0.0, 0.0, 0.0, 0.0])
-        batch = [Transition(np.zeros(OBS), 0, 1.0, np.zeros(OBS), False)]
+        batch = zero_obs_bundle([0], [1.0], [False])
         assert td_targets(batch, target, 0.98) == pytest.approx([2.96])
 
     def test_terminal_uses_raw_reward(self):
         target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0])
-        batch = [Transition(np.zeros(OBS), 0, 0.5, np.zeros(OBS), True)]
+        batch = zero_obs_bundle([0], [0.5], [True])
         assert td_targets(batch, target, 0.98) == pytest.approx([0.5])
 
     def test_zero_discount_degenerates_to_reward(self):
         target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0])
-        batch = [Transition(np.zeros(OBS), 0, 0.7, np.zeros(OBS), False),
-                 Transition(np.zeros(OBS), 1, -0.2, np.zeros(OBS), True)]
+        batch = zero_obs_bundle([0, 1], [0.7, -0.2], [False, True])
         assert td_targets(batch, target, 0.0) == pytest.approx([0.7, -0.2])
 
 
@@ -278,6 +286,20 @@ class TestSerialization:
         path = tmp_path / "net.bin"
         save_network(net, path)
         path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="truncated"):
+            load_network(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "net.bin"
+        path.write_bytes(dqn.NETWORK_MAGIC + b"\0" * 5)
+        with pytest.raises(ValueError, match="header"):
+            load_network(path)
+
+    def test_header_dims_checked_before_allocating(self, tmp_path):
+        # w1 alone would take 8 * (2**32 - 1)**2 bytes, above 2**60
+        path = tmp_path / "net.bin"
+        path.write_bytes(dqn.NETWORK_MAGIC
+                         + struct.pack("<III", 2**32 - 1, 2**32 - 1, 5))
         with pytest.raises(ValueError, match="truncated"):
             load_network(path)
 

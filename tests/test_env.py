@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from semshard.consensus import select_leader
 from semshard.core import ConfigError, NetworkConfig, Rng, partition
 from semshard.env import (Action, EpisodeFinishedError, ShardEnv, run_baseline,
                           EPISODE_CSV_HEADER)
@@ -42,7 +43,28 @@ class TestReset:
 
     def test_nodes_initial_above_cap_rejected(self):
         with pytest.raises(ConfigError, match="nodes_initial"):
-            ShardEnv(NetworkConfig(nodes_initial=601))
+            NetworkConfig(nodes_initial=601)
+
+
+class TestObservation:
+    def test_leader_and_consensus_features_under_churn(self):
+        cfg = NetworkConfig(nodes_initial=60, nodes_min=20, node_walk_step=10)
+        env = ShardEnv(cfg)
+        rng = Rng(21)
+        node_counts, wrapped = set(), False
+        for _ in range(3):
+            obs, round_index = env.reset(rng), 0
+            while True:
+                n = env.n_nodes
+                node_counts.add(n)
+                wrapped |= round_index >= n
+                assert obs[5] == select_leader(range(n), round_index) / cfg.nodes_max
+                assert obs[6] == 0.0
+                if env.terminal:
+                    break
+                obs, _, _, _ = env.step(Action(int(rng.integers(0, 4))), rng)
+                round_index += 1
+        assert len(node_counts) > 1 and wrapped
 
 
 class TestStep:
