@@ -13,7 +13,7 @@ from .consensus import (AggregationFailure, AggregationReport,
                         select_leader, simulate_verification,
                         verify_commitment)
 from .env import (Action, EpisodeFinishedError, EpisodeLog, ShardEnv,
-                  Transition, run_baseline)
+                  run_baseline)
 from .dqn import (Hyperparameters, QNetwork, ReplayBuffer, act, load_network,
                   save_network, sync_target, td_targets, train, train_step)
 from .config import RunConfig, ScenarioGrid, config_hash, load_config

@@ -22,7 +22,7 @@ from . import consensus
 from .config import (RunConfig, config_hash, default_grid, load_config,
                      parse_grid, read_manifest, write_manifest)
 from .core import (ConfigError, Content, InvalidShardingError, NetworkConfig,
-                   Rng, VerifierNode, make_sharding_state)
+                   Rng, VerifierNode, partition)
 from .dqn import (TrainRow, save_network, train, write_training_csv)
 from .env import ShardEnv, run_baseline
 from .throughput import RoundConditions, round_latency, throughput
@@ -127,32 +127,45 @@ def run_sweep_cell(base: RunConfig, out_dir: str, nodes: int, rate: float,
     Cells are fully determined by (config, nodes, rate, seed, policy), so the
     result is the same whether cells run serially or in parallel. A cell
     whose manifest carries this cell's config hash is reused as-is; any other
-    is recomputed.
+    is recomputed, as is one whose manifest cannot be read.
     """
-    network = replace(base.network, nodes_initial=nodes, rate_max=rate,
-                      seed=seed)
-    cfg = RunConfig(network=network, agent=base.agent)
+    cfg = _cell_config(base, nodes, rate, seed)
     cell = Path(out_dir) / "cells" / f"n{nodes}_r{int(rate)}_s{seed}_{policy}"
     rewards_path = cell / "rewards.csv"
-    manifest_path = cell / "manifest.json"
-    if (manifest_path.exists() and rewards_path.exists()
-            and read_manifest(manifest_path)["config_hash"] == config_hash(cfg)):
+    if (rewards_path.exists()
+            and _stored_hash(cell / "manifest.json") == config_hash(cfg)):
         return _read_reward_rows(rewards_path)
 
     cell.mkdir(parents=True, exist_ok=True)
     rng = Rng(seed)
     if policy == "adaptive":
-        net, rows = train(ShardEnv(network), cfg.agent, rng)
+        net, rows = train(ShardEnv(cfg.network), cfg.agent, rng)
         save_network(net, cell / "network.bin")
         outputs = ["rewards.csv", "network.bin"]
     else:
-        means = run_baseline(network, cfg.agent.epochs, rng)
+        means = run_baseline(cfg.network, cfg.agent.epochs, rng)
         rows = [TrainRow(i, m, 0.0, 0.0) for i, m in enumerate(means)]
         outputs = ["rewards.csv"]
     with open(rewards_path, "w") as fh:
         write_training_csv(rows, fh)
     write_manifest(cell / "manifest.json", cfg, outputs)
     return [(row.epoch, row.mean_reward) for row in rows]
+
+
+def _cell_config(base: RunConfig, nodes: int, rate: float,
+                 seed: int) -> RunConfig:
+    network = replace(base.network, nodes_initial=nodes, rate_max=rate,
+                      seed=seed)
+    return RunConfig(network=network, agent=base.agent)
+
+
+def _stored_hash(manifest_path: Path) -> str | None:
+    """The manifest's config_hash; None if the manifest is absent, lacks
+    the key, or is not JSON because a killed run cut it short."""
+    try:
+        return read_manifest(manifest_path)["config_hash"]
+    except (OSError, ValueError, KeyError):
+        return None
 
 
 def _read_reward_rows(path: Path) -> list[tuple[int, float]]:
@@ -168,6 +181,8 @@ def _cell_worker(payload):
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid = parse_grid(args.grid) if args.grid else default_grid()
+    for nodes, rate, seed in grid.cells():
+        _cell_config(cfg, nodes, int(rate), seed)  # a bad cell fails up front
     out = _prepare_out(args.out)
 
     jobs = [(cfg, str(out), nodes, int(rate), seed, policy)
@@ -193,12 +208,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval_throughput(args) -> int:
+    # written as "not value > 0" so that NaN is rejected too
+    for flag, value in (("--rate", args.rate), ("--msg-size", args.msg_size)):
+        if not value > 0:
+            raise ConfigError(f"{flag}: must be strictly positive")
+    if not args.sem_time >= 0:
+        raise ConfigError("--sem-time: must be non-negative")
     cfg = NetworkConfig()
-    state = make_sharding_state(args.shards, args.msg_size, args.nodes, 0, cfg)
+    partition(args.nodes, args.shards, cfg.min_shard_size)  # rejects bad K
     cond = RoundConditions(rate=args.rate, semantic_time=args.sem_time,
                            reconfigured=args.reconfigured)
-    lat = round_latency(state, cond, cfg)
-    tps = throughput(state, lat, cfg)
+    lat = round_latency(args.shards, args.msg_size, args.nodes, cond, cfg)
+    tps = throughput(args.shards, args.msg_size, lat, cfg)
     for name, value in (("t_config", lat.t_config), ("t_prop", lat.t_prop),
                         ("t_intra", lat.t_intra), ("t_inter", lat.t_inter),
                         ("t_round", lat.t_round)):

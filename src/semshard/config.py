@@ -16,14 +16,16 @@ import os
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .core import ConfigError, NetworkConfig
 from .dqn import Hyperparameters
 
 ENV_PREFIX = "SEMSHARD"
 
-_SECTIONS = {"network": NetworkConfig, "agent": Hyperparameters}
+# section -> {key: type}; get_type_hints resolves the string annotations
+_KEY_TYPES = {"network": get_type_hints(NetworkConfig),
+              "agent": get_type_hints(Hyperparameters)}
 
 
 @dataclass(frozen=True)
@@ -56,44 +58,32 @@ def load_config(path: Optional[str] = None,
                 environ: Optional[dict] = None) -> RunConfig:
     """Resolve defaults <- config file <- environment overrides, validated."""
     environ = os.environ if environ is None else environ
-    values: dict[str, dict] = {name: {} for name in _SECTIONS}
+    values: dict[str, dict] = {name: {} for name in _KEY_TYPES}
 
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         read = parser.read(path)
         if not read:
             raise ConfigError(f"config file not readable: {path}")
         for section in parser.sections():
-            if section not in _SECTIONS:
+            if section not in _KEY_TYPES:
                 raise ConfigError(f"{section}: unknown config section")
-            known = {f.name: f.type for f in fields(_SECTIONS[section])}
             for key, raw in parser[section].items():
-                if key not in known:
+                if key not in _KEY_TYPES[section]:
                     raise ConfigError(f"{section}.{key}: unknown config key")
-                kind = _field_type(_SECTIONS[section], key)
-                values[section][key] = _coerce(section, key, kind, raw)
+                values[section][key] = _coerce(
+                    section, key, _KEY_TYPES[section][key], raw)
 
-    for section, cls in _SECTIONS.items():
-        for f in fields(cls):
-            env_key = f"{ENV_PREFIX}_{section.upper()}_{f.name.upper()}"
+    for section, types in _KEY_TYPES.items():
+        for key, kind in types.items():
+            env_key = f"{ENV_PREFIX}_{section.upper()}_{key.upper()}"
             if env_key in environ:
-                kind = _field_type(cls, f.name)
-                values[section][f.name] = _coerce(section, f.name, kind,
-                                                  environ[env_key])
+                values[section][key] = _coerce(section, key, kind,
+                                               environ[env_key])
 
     network = NetworkConfig(**values["network"])
     agent = Hyperparameters(**values["agent"])
     return RunConfig(network=network, agent=agent)
-
-
-def _field_type(cls, name: str) -> type:
-    # dataclass field types are strings under `from __future__ import annotations`
-    for f in fields(cls):
-        if f.name == name:
-            if isinstance(f.type, str):
-                return {"int": int, "float": float, "bool": bool}.get(f.type, str)
-            return f.type
-    raise KeyError(name)
 
 
 def _canon_value(value) -> str:

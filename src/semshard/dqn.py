@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ConfigError, Rng
-from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv, Transition
+from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
 
 
 @dataclass
@@ -91,10 +91,8 @@ class QNetwork:
 
 def sync_target(est_net: QNetwork, target_net: QNetwork) -> None:
     """Copy estimation parameters into the target network (bitwise)."""
-    target_net.w1 = est_net.w1.copy()
-    target_net.b1 = est_net.b1.copy()
-    target_net.w2 = est_net.w2.copy()
-    target_net.b2 = est_net.b2.copy()
+    for name, param in est_net.parameters().items():
+        setattr(target_net, name, param.copy())
 
 
 class ReplayBuffer:
@@ -114,13 +112,14 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, t: Transition) -> None:
+    def push(self, obs: np.ndarray, action: int, reward: float,
+             next_obs: np.ndarray, terminal: bool) -> None:
         i = self._cursor
-        self._obs[i] = t.observation
-        self._actions[i] = t.action
-        self._rewards[i] = t.reward
-        self._next_obs[i] = t.next_observation
-        self._terminals[i] = t.terminal
+        self._obs[i] = obs
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_obs[i] = next_obs
+        self._terminals[i] = terminal
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -130,16 +129,16 @@ class ReplayBuffer:
         return (self._obs[idx], self._actions[idx], self._rewards[idx],
                 self._next_obs[idx], self._terminals[idx])
 
-    def snapshot(self) -> list[Transition]:
-        """Stored transitions in insertion order (oldest first)."""
+    def snapshot(self) -> list[tuple]:
+        """Stored (obs, action, reward, next_obs, terminal) rows, oldest first."""
         if self._size < self.capacity:
             order = range(self._size)
         else:
             order = [(self._cursor + i) % self.capacity
                      for i in range(self.capacity)]
-        return [Transition(self._obs[i].copy(), int(self._actions[i]),
-                           float(self._rewards[i]), self._next_obs[i].copy(),
-                           bool(self._terminals[i]))
+        return [(self._obs[i].copy(), int(self._actions[i]),
+                 float(self._rewards[i]), self._next_obs[i].copy(),
+                 bool(self._terminals[i]))
                 for i in order]
 
 
@@ -190,15 +189,11 @@ def train_step(est_net: QNetwork, target_net: QNetwork, buffer: ReplayBuffer,
     """One SGD step on a sampled minibatch; None while the buffer is underfull."""
     if len(buffer) < hp.batch_size:
         return None
-    obs, actions, rewards, next_obs, terminals = buffer.sample(
-        hp.batch_size, rng)
-    targets = td_targets((obs, actions, rewards, next_obs, terminals),
-                         target_net, hp.discount)
-    loss, grads = loss_and_gradients(est_net, obs, actions, targets)
-    est_net.w1 -= hp.learning_rate * grads["w1"]
-    est_net.b1 -= hp.learning_rate * grads["b1"]
-    est_net.w2 -= hp.learning_rate * grads["w2"]
-    est_net.b2 -= hp.learning_rate * grads["b2"]
+    batch = buffer.sample(hp.batch_size, rng)
+    targets = td_targets(batch, target_net, hp.discount)
+    loss, grads = loss_and_gradients(est_net, batch[0], batch[1], targets)
+    for name, param in est_net.parameters().items():
+        param -= hp.learning_rate * grads[name]
     return loss
 
 
@@ -249,7 +244,7 @@ def train(env: ShardEnv, hp: Hyperparameters, rng: Rng,
         while True:
             action = act(est, obs, epsilon, rng)
             next_obs, reward, terminal, _ = env.step(action, rng)
-            buffer.push(Transition(obs, int(action), reward, next_obs, terminal))
+            buffer.push(obs, int(action), reward, next_obs, terminal)
             loss = train_step(est, target, buffer, hp, rng)
             if loss is not None:
                 losses.append(loss)

@@ -15,9 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-# kept as env attributes for perfbench's call-site tracer; the env calls neither
+# kept as env attributes for perfbench's call-site tracer; the env calls none
+# of ratify_setting, select_leader and make_sharding_state
 from .consensus import ratify_setting, select_leader  # noqa: F401
-from .core import NetworkConfig, Rng, clamp_sharding, make_sharding_state
+from .core import NetworkConfig, Rng, clamp_sharding, make_sharding_state  # noqa: F401
 from .throughput import RoundConditions, round_latency, throughput
 
 
@@ -38,17 +39,6 @@ NUM_ACTIONS = len(Action)
 OBSERVATION_SIZE = 8
 
 EPISODE_CSV_HEADER = "round,K,S_bits,N,R_bps,t_sem,tps,action,clamped"
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One replay record: (state, action, reward, next state, terminal)."""
-
-    observation: np.ndarray
-    action: int
-    reward: float
-    next_observation: np.ndarray
-    terminal: bool
 
 
 @dataclass(frozen=True)
@@ -193,9 +183,9 @@ class ShardEnv:
             self._k, self._s, _ = clamp_sharding(self._k, self._s, self._n, cfg)
 
         reconfigured = self._k != k_prev
-        state = make_sharding_state(self._k, self._s, self._n, self._round, cfg)
-        lat = round_latency(state, RoundConditions(rate, t_sem, reconfigured), cfg)
-        tps = throughput(state, lat, cfg)
+        lat = round_latency(self._k, self._s, self._n,
+                            RoundConditions(rate, t_sem, reconfigured), cfg)
+        tps = throughput(self._k, self._s, lat, cfg)
         reward = tps / cfg.reward_scale
 
         self.log.records.append(EpisodeRecord(

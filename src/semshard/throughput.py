@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NetworkConfig, ShardingState
+from .core import NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,14 @@ def propagation_time(shard_size: int, message_size: float, rate: float) -> float
     return 2.0 * shard_size * (shard_size - 1) * message_size / rate
 
 
-def round_latency(state: ShardingState, cond: RoundConditions,
-                  cfg: NetworkConfig) -> LatencyBreakdown:
+def round_latency(num_shards: int, message_size: float, n_nodes: int,
+                  cond: RoundConditions, cfg: NetworkConfig) -> LatencyBreakdown:
     """Compose the full latency breakdown for one consensus round."""
-    n = max(state.shard_sizes)  # slowest shard bounds the parallel phase
-    t_prop = propagation_time(n, state.message_size, cond.rate)
+    # the largest of K balanced shards, ceil(N/K), bounds the parallel phase
+    n = -(-n_nodes // num_shards)
+    t_prop = propagation_time(n, message_size, cond.rate)
     t_intra = t_prop + cfg.validation_delay + cond.semantic_time
-    t_inter = state.message_size / cond.rate
+    t_inter = message_size / cond.rate
     t_config = cfg.config_latency if cond.reconfigured else 0.0
     return LatencyBreakdown(
         t_config=t_config,
@@ -54,13 +55,12 @@ def round_latency(state: ShardingState, cond: RoundConditions,
     )
 
 
-def throughput(state: ShardingState, lat: LatencyBreakdown,
+def throughput(num_shards: int, message_size: float, lat: LatencyBreakdown,
                cfg: NetworkConfig) -> float:
     """Transactions per second for one round.
 
-    Every shard commits one message of state.message_size bits per round, so
-    the round moves K * (S / tx_size) transactions in t_round seconds.
+    Every shard commits one message of message_size bits per round, so the
+    round moves K * (S / tx_size) transactions in t_round seconds.
     Fractional transactions per message are allowed: this is a rate.
     """
-    per_shard_txs = state.message_size / cfg.tx_size
-    return state.num_shards * per_shard_txs / lat.t_round
+    return num_shards * (message_size / cfg.tx_size) / lat.t_round

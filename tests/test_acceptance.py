@@ -27,7 +27,7 @@ from semshard.consensus import (AggregationFailure, Ledger, SemanticResult,
 from semshard.core import Content, NetworkConfig, Rng, VerifierNode
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, sync_target,
                           train_step)
-from semshard.env import ShardEnv, Transition
+from semshard.env import ShardEnv
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -119,8 +119,8 @@ def test_criterion_4_dqn_correctness():
     frozen = {k: v.copy() for k, v in target.parameters().items()}
     buffer = ReplayBuffer(64)
     for i in range(16):
-        buffer.push(Transition(rng.uniform(0, 1, 8), i % 5, 1.0,
-                               rng.uniform(0, 1, 8), False))
+        buffer.push(rng.uniform(0, 1, 8), i % 5, 1.0, rng.uniform(0, 1, 8),
+                    False)
     hp = Hyperparameters(batch_size=8)
     for _ in range(25):
         train_step(est, target, buffer, hp, rng)
@@ -129,8 +129,8 @@ def test_criterion_4_dqn_correctness():
 
     fifo = ReplayBuffer(100, obs_size=2)
     for i in range(250):
-        fifo.push(Transition(np.zeros(2), 0, float(i), np.zeros(2), False))
-    kept = [t.reward for t in fifo.snapshot()]
+        fifo.push(np.zeros(2), 0, float(i), np.zeros(2), False)
+    kept = [t[2] for t in fifo.snapshot()]
     fifo_ok = kept == [float(i) for i in range(150, 250)]
 
     elapsed = time.time() - started

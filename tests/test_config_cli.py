@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,15 @@ class TestLoadConfig:
         # the buffer could never hold a batch: zero gradient steps
         self._rejected(tmp_path, "[agent]\nbuffer_capacity = 63\n",
                        "agent.buffer_capacity")
+
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        # the README's [network]/[agent] block, inline comments included
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(str(path), environ={}) \
+            == load_config(None, environ={})
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="readable"):
@@ -249,6 +259,33 @@ class TestCmdSweep:
         assert (resumed / "sweep.csv").read_bytes() \
             == (fresh / "sweep.csv").read_bytes()
 
+    def test_resume_recomputes_cell_with_truncated_manifest(self, tmp_path):
+        cfg_path = tmp_path / "cfg.cfg"
+        cfg_path.write_text(SMALL_CFG)
+        out = tmp_path / "sweep"
+        args = ["sweep", str(cfg_path), "--out", str(out),
+                "--grid", "nodes=60;rates=60;seeds=3"]
+        assert cli.main(args) == 0
+        first = (out / "sweep.csv").read_bytes()
+        # a run killed while writing leaves a manifest cut short
+        manifest = out / "cells" / "n60_r60000000_s3_adaptive" / "manifest.json"
+        manifest.write_text(manifest.read_text()[:40])
+        (manifest.parent / "rewards.csv").write_text(
+            "epoch,mean_reward,epsilon,mean_loss\n0,123.5,0.1,0.0\n")
+        assert cli.main(args) == 0
+        assert "config_hash" in read_manifest(manifest)
+        assert (out / "sweep.csv").read_bytes() == first
+
+    def test_bad_grid_cell_fails_before_any_cell_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.cfg"
+        cfg_path.write_text(SMALL_CFG)
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", str(cfg_path), "--out", str(out),
+                         "--grid", "nodes=60,700;rates=60;seeds=3"])
+        assert code == 2
+        assert "network.nodes_initial" in capsys.readouterr().err
+        assert not (out / "cells").exists()
+
     def test_parallel_equals_serial(self, tmp_path):
         cfg_path = tmp_path / "cfg.cfg"
         cfg_path.write_text(SMALL_CFG)
@@ -296,6 +333,14 @@ class TestCmdEvalThroughput:
         code = cli.main(["eval-throughput", "--shards", "30",
                          "--nodes", "100"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rate", "0"), ("--rate", "nan"), ("--msg-size", "-5"),
+        ("--sem-time", "-1")])
+    def test_bad_flag_exits_2_naming_it(self, capsys, flag, value):
+        assert cli.main(["eval-throughput", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
 
 
 class TestCmdPosDemo:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semshard.core import ConfigError, NetworkConfig, Rng
 from semshard.dqn import Hyperparameters, QNetwork, ReplayBuffer, train_step
-from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv, Transition
+from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
 
 # Bounded so the test takes a few seconds. Node counts often fall near
 # min_shard_size, where the validators draw the line.
@@ -70,7 +70,7 @@ def test_constructible_configs_run(cfg, hp):
         action = Action(int(rng.integers(0, NUM_ACTIONS - 1)))
         next_obs, reward, terminal, _ = env.step(action, rng)
         assert math.isfinite(reward) and reward > 0.0
-        buffer.push(Transition(obs, int(action), reward, next_obs, terminal))
+        buffer.push(obs, int(action), reward, next_obs, terminal)
         obs = next_obs
         loss = train_step(net, target, buffer, hp, rng)
         if pushes < hp.batch_size:

@@ -13,7 +13,7 @@ from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, act,
                           epsilon_for_epoch, load_network, save_network,
                           sync_target, td_targets, train, train_step,
                           write_training_csv)
-from semshard.env import Action, ShardEnv, Transition
+from semshard.env import Action, ShardEnv
 
 OBS = 8
 
@@ -130,7 +130,7 @@ class TestTrainStep:
         before = {k: v.copy() for k, v in est.parameters().items()}
         buffer = ReplayBuffer(100)
         for i in range(63):
-            buffer.push(Transition(np.zeros(OBS), 0, 0.0, np.zeros(OBS), True))
+            buffer.push(np.zeros(OBS), 0, 0.0, np.zeros(OBS), True)
         assert train_step(est, target, buffer, hp, Rng(0)) is None
         for k, v in est.parameters().items():
             assert np.array_equal(v, before[k])
@@ -141,8 +141,7 @@ class TestTrainStep:
         est = QNetwork(OBS, 128, 5, rng)
         target = est.clone()  # frozen: never re-synced
         buffer = ReplayBuffer(10)
-        buffer.push(Transition(random_obs(Rng(3)), 2, 1.0, random_obs(Rng(4)),
-                               True))
+        buffer.push(random_obs(Rng(3)), 2, 1.0, random_obs(Rng(4)), True)
         loss = None
         for step in range(500):
             loss = train_step(est, target, buffer, hp, rng)
@@ -169,8 +168,7 @@ class TestSyncTarget:
         frozen = {k: v.copy() for k, v in target.parameters().items()}
         buffer = ReplayBuffer(100)
         for i in range(10):
-            buffer.push(Transition(random_obs(rng), i % 5, 1.0,
-                                   random_obs(rng), False))
+            buffer.push(random_obs(rng), i % 5, 1.0, random_obs(rng), False)
         for _ in range(9):
             assert train_step(est, target, buffer, hp, rng) is not None
         for k, v in target.parameters().items():
@@ -199,17 +197,15 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buffer = ReplayBuffer(100, obs_size=2)
         for i in range(250):
-            buffer.push(Transition(np.zeros(2), 0, float(i), np.zeros(2),
-                                   False))
+            buffer.push(np.zeros(2), 0, float(i), np.zeros(2), False)
         assert len(buffer) == 100
-        rewards = [t.reward for t in buffer.snapshot()]
+        rewards = [t[2] for t in buffer.snapshot()]
         assert rewards == [float(i) for i in range(150, 250)]
 
     def test_sample_with_replacement_covers_buffer(self):
         buffer = ReplayBuffer(8, obs_size=2)
         for i in range(8):
-            buffer.push(Transition(np.full(2, i), i % 5, float(i),
-                                   np.zeros(2), False))
+            buffer.push(np.full(2, i), i % 5, float(i), np.zeros(2), False)
         _, _, rewards, _, _ = buffer.sample(1000, Rng(0))
         assert set(rewards.astype(int)) == set(range(8))
 
@@ -247,8 +243,8 @@ class TestRewardScalingInvariance:
             target = est.clone()
             buffer = ReplayBuffer(64)
             for s, a in itertools.product(range(10), range(5)):
-                buffer.push(Transition(states[s], a, scale * rewards[s, a],
-                                       states[s], True))
+                buffer.push(states[s], a, scale * rewards[s, a], states[s],
+                            True)
             sample_rng = Rng(44)
             for _ in range(4000):
                 loss = train_step(est, target, buffer, hp, sample_rng)

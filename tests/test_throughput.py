@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semshard.core import NetworkConfig, make_sharding_state
+from semshard.core import NetworkConfig
 from semshard.throughput import (RoundConditions, propagation_time,
                                  round_latency, throughput)
 
@@ -31,33 +31,33 @@ class TestPropagationTime:
 
 class TestRoundLatency:
     def test_reconfigured_round(self):
-        state = make_sharding_state(10, 8_000_000, 100, 0, CFG)
-        lat = round_latency(state, RoundConditions(1e7, 20.0, True), CFG)
+        lat = round_latency(10, 8_000_000, 100,
+                            RoundConditions(1e7, 20.0, True), CFG)
         assert lat.t_round == pytest.approx(164.901, abs=1e-9)
 
     def test_steady_round_drops_config_time(self):
-        state = make_sharding_state(10, 8_000_000, 100, 0, CFG)
-        lat = round_latency(state, RoundConditions(1e7, 20.0, False), CFG)
+        lat = round_latency(10, 8_000_000, 100,
+                            RoundConditions(1e7, 20.0, False), CFG)
         assert lat.t_config == 0.0
         assert lat.t_round == pytest.approx(164.900, abs=1e-9)
 
     def test_max_sharding(self):
-        state = make_sharding_state(25, 8_000_000, 100, 0, CFG)
-        lat = round_latency(state, RoundConditions(1e7, 20.0, False), CFG)
+        lat = round_latency(25, 8_000_000, 100,
+                            RoundConditions(1e7, 20.0, False), CFG)
         assert lat.t_round == pytest.approx(40.1, abs=1e-9)
 
     def test_largest_shard_bounds_propagation(self):
         # 101 nodes in 10 shards: one shard of 11 dominates
-        state = make_sharding_state(10, 8_000_000, 101, 0, CFG)
-        lat = round_latency(state, RoundConditions(1e7, 0.0, False), CFG)
+        lat = round_latency(10, 8_000_000, 101,
+                            RoundConditions(1e7, 0.0, False), CFG)
         assert lat.t_prop == pytest.approx(2 * 11 * 10 * 0.8)
 
     @given(k=st.integers(1, 25), s=st.integers(800_000, 8_000_000),
            rate=st.floats(1e7, 1e8), t_sem=st.floats(0.0, 20.0),
            reconf=st.booleans())
     def test_breakdown_additivity(self, k, s, rate, t_sem, reconf):
-        state = make_sharding_state(k, s, 100, 0, CFG)
-        lat = round_latency(state, RoundConditions(rate, t_sem, reconf), CFG)
+        lat = round_latency(k, s, 100, RoundConditions(rate, t_sem, reconf),
+                            CFG)
         assert lat.t_round == pytest.approx(
             lat.t_config + lat.t_intra + lat.t_inter, rel=1e-12)
         assert lat.t_intra == pytest.approx(
@@ -66,9 +66,9 @@ class TestRoundLatency:
 
 class TestThroughput:
     def _tps(self, k, s, rate, t_sem, reconf, n=100):
-        state = make_sharding_state(k, s, n, 0, CFG)
-        lat = round_latency(state, RoundConditions(rate, t_sem, reconf), CFG)
-        return throughput(state, lat, CFG)
+        lat = round_latency(k, s, n, RoundConditions(rate, t_sem, reconf),
+                            CFG)
+        return throughput(k, s, lat, CFG)
 
     def test_ten_shards(self):
         assert self._tps(10, 8_000_000, 1e7, 20.0, True) == pytest.approx(
@@ -81,9 +81,10 @@ class TestThroughput:
     def test_one_transaction_per_round(self):
         # one shard carrying exactly one transaction
         cfg = NetworkConfig(message_size_min=4_000, tx_size=4_000)
-        state = make_sharding_state(1, 4_000, 8, 0, cfg)
-        lat = round_latency(state, RoundConditions(1e7, 1.0, False), cfg)
-        assert throughput(state, lat, cfg) == pytest.approx(1.0 / lat.t_round)
+        lat = round_latency(1, 4_000, 8, RoundConditions(1e7, 1.0, False),
+                            cfg)
+        assert throughput(1, 4_000, lat, cfg) == pytest.approx(
+            1.0 / lat.t_round)
 
     @given(k=st.integers(1, 25), s=st.integers(800_000, 8_000_000),
            t_sem=st.floats(0.0, 19.0),
@@ -95,15 +96,18 @@ class TestThroughput:
 
 
 def test_sweep_matches_straight_line_composition():
-    """Every valid K at N=200 against an independent hand composition."""
-    n, s, rate, t_sem = 200, 8_000_000, 1e7, 20.0
-    for k in range(1, n // 4 + 1):
-        sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-        biggest = max(sizes)
-        t_prop = 2.0 * biggest * (biggest - 1) * s / rate
-        t_round = t_prop + 0.1 + t_sem + s / rate
-        expected = k * (s / 4000.0) / t_round
+    """Every valid K at N = 101, 200 and 599 against an independent hand
+    composition over a balanced split."""
+    s, rate, t_sem = 8_000_000, 1e7, 20.0
+    for n in (101, 200, 599):
+        for k in range(1, n // 4 + 1):
+            sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
+            biggest = max(sizes)
+            t_prop = 2.0 * biggest * (biggest - 1) * s / rate
+            t_round = t_prop + 0.1 + t_sem + s / rate
+            expected = k * (s / 4000.0) / t_round
 
-        state = make_sharding_state(k, s, n, 0, CFG)
-        lat = round_latency(state, RoundConditions(rate, t_sem, False), CFG)
-        assert throughput(state, lat, CFG) == pytest.approx(expected, rel=1e-12)
+            lat = round_latency(k, s, n, RoundConditions(rate, t_sem, False),
+                                CFG)
+            assert throughput(k, s, lat, CFG) == pytest.approx(expected,
+                                                               rel=1e-12)
