@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,6 +14,15 @@ class ConfigError(ValueError):
 
 class InvalidShardingError(ValueError):
     """Raised when a requested shard count cannot be satisfied by the node set."""
+
+
+def require_finite(config, section: str) -> None:
+    """ConfigError naming the first float field of a config that is NaN or
+    infinite: range checks pass NaN, and inf passes a lower bound."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{f.name}: must be finite")
 
 
 @dataclass
@@ -47,6 +57,7 @@ class NetworkConfig:
     reward_scale: float = 1000.0
 
     def __post_init__(self):
+        require_finite(self, "network")
         positive = (
             "config_latency", "validation_delay", "avg_message_size_max",
             "semantic_time_max", "rate_min", "rate_max", "nodes_initial",

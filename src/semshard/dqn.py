@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, Rng
+from .core import ConfigError, Rng, require_finite
 from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
 
 
@@ -34,6 +34,7 @@ class Hyperparameters:
     epsilon_decay: bool = False  # linear decay from epsilon to 0.01 over epochs
 
     def __post_init__(self):
+        require_finite(self, "agent")
         if not 0.0 < self.discount < 1.0:
             raise ConfigError("agent.discount: must be in (0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -47,12 +48,43 @@ class Hyperparameters:
             raise ConfigError("agent.buffer_capacity: must be >= batch_size")
 
 
+def _param_shapes(input_size: int, hidden_size: int,
+                  output_size: int) -> tuple:
+    """(name, shape) of each parameter, in theta's and network.bin's order."""
+    return (("w1", (input_size, hidden_size)), ("b1", (hidden_size,)),
+            ("w2", (hidden_size, output_size)), ("b2", (output_size,)))
+
+
+def _param(name: str) -> property:
+    """A parameter as a view of QNetwork.theta; assignment copies into it."""
+
+    def get(net: "QNetwork") -> np.ndarray:
+        return net._params[name]
+
+    def set_(net: "QNetwork", value) -> None:
+        view = net._params[name]
+        value = np.asarray(value, dtype=float)
+        if value.shape != view.shape:
+            raise ValueError(f"{name}: shape {value.shape} != {view.shape}")
+        view[...] = value
+
+    return property(get, set_)
+
+
 class QNetwork:
     """Linear -> ReLU -> linear; five action values out, no output activation.
 
-    Weights initialize from Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)], biases
-    from zero. Without an rng all parameters start at zero.
+    All parameters live in one flat float64 vector, theta: w1, b1, w2, b2,
+    each row-major, which is exactly the network.bin body. The four names
+    are views of theta. Weights initialize from
+    Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)], biases from zero. Without an
+    rng all parameters start at zero.
     """
+
+    w1 = _param("w1")
+    b1 = _param("b1")
+    w2 = _param("w2")
+    b2 = _param("b2")
 
     def __init__(self, input_size: int = OBSERVATION_SIZE,
                  hidden_size: int = 128, output_size: int = NUM_ACTIONS,
@@ -60,16 +92,23 @@ class QNetwork:
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.output_size = output_size
-        if rng is None:
-            self.w1 = np.zeros((input_size, hidden_size))
-            self.w2 = np.zeros((hidden_size, output_size))
-        else:
+        self._layout, size = [], 0
+        for name, shape in _param_shapes(input_size, hidden_size, output_size):
+            self._layout.append(
+                (name, slice(size, size + math.prod(shape)), shape))
+            size += math.prod(shape)
+        self.theta = np.zeros(size)
+        self._params = self.named(self.theta)
+        if rng is not None:
             bound1 = 1.0 / np.sqrt(input_size)
             bound2 = 1.0 / np.sqrt(hidden_size)
             self.w1 = rng.uniform(-bound1, bound1, (input_size, hidden_size))
             self.w2 = rng.uniform(-bound2, bound2, (hidden_size, output_size))
-        self.b1 = np.zeros(hidden_size)
-        self.b2 = np.zeros(output_size)
+
+    def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector laid out as theta, by parameter name."""
+        return {name: flat[part].reshape(shape)
+                for name, part, shape in self._layout}
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Q-values for one observation (in,) or a batch (B, in)."""
@@ -77,11 +116,23 @@ class QNetwork:
         if x.shape[-1] != self.input_size:
             raise ValueError(
                 f"observation size {x.shape[-1]} != {self.input_size}")
-        hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
-        return hidden @ self.w2 + self.b2
+        return self._forward(x)
+
+    # The private forward skips forward()'s input check. Both halves add the
+    # bias and take the ReLU in place: the same arithmetic as
+    # max(x @ w1 + b1, 0), without a second temporary.
+    def _hidden(self, x: np.ndarray) -> np.ndarray:
+        hidden = x @ self.w1
+        hidden += self.b1
+        return np.maximum(hidden, 0.0, out=hidden)
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        q = self._hidden(x) @ self.w2
+        q += self.b2
+        return q
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        return dict(self._params)
 
     def clone(self) -> "QNetwork":
         other = QNetwork(self.input_size, self.hidden_size, self.output_size)
@@ -91,8 +142,7 @@ class QNetwork:
 
 def sync_target(est_net: QNetwork, target_net: QNetwork) -> None:
     """Copy estimation parameters into the target network (bitwise)."""
-    for name, param in est_net.parameters().items():
-        setattr(target_net, name, param.copy())
+    np.copyto(target_net.theta, est_net.theta)
 
 
 class ReplayBuffer:
@@ -126,8 +176,9 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: Rng):
         """Uniform sample with replacement: (obs, actions, rewards, next_obs, terminals)."""
         idx = rng.integers(0, self._size - 1, size=batch_size)
-        return (self._obs[idx], self._actions[idx], self._rewards[idx],
-                self._next_obs[idx], self._terminals[idx])
+        return (self._obs.take(idx, axis=0), self._actions[idx],
+                self._rewards[idx], self._next_obs.take(idx, axis=0),
+                self._terminals[idx])
 
     def snapshot(self) -> list[tuple]:
         """Stored (obs, action, reward, next_obs, terminal) rows, oldest first."""
@@ -146,7 +197,7 @@ def act(net: QNetwork, obs: np.ndarray, epsilon: float, rng: Rng) -> Action:
     """Epsilon-greedy action; greedy ties break to the lowest index."""
     if rng.uniform() < epsilon:
         return Action(int(rng.integers(0, NUM_ACTIONS - 1)))
-    return Action(int(np.argmax(net.forward(obs))))
+    return Action(int(net._forward(obs).argmax()))
 
 
 def td_targets(batch, target_net: QNetwork, discount: float) -> np.ndarray:
@@ -156,32 +207,40 @@ def td_targets(batch, target_net: QNetwork, discount: float) -> np.ndarray:
     ReplayBuffer.sample().
     """
     _, _, rewards, next_obs, terminals = batch
-    best_next = target_net.forward(next_obs).max(axis=1)
+    q = target_net._forward(next_obs)
+    # a left-to-right chain over the columns: max is exact, so this equals
+    # q.max(axis=1) at a lower call cost
+    best_next = q[:, 0].copy()
+    for a in range(1, q.shape[1]):
+        np.maximum(best_next, q[:, a], out=best_next)
     return rewards + discount * best_next * ~terminals
 
 
 def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
                        targets: np.ndarray):
-    """Mean squared TD error on the taken actions, with analytic gradients."""
+    """Mean squared TD error on the taken actions, and its analytic gradient
+    as one vector laid out as net.theta."""
     batch = obs.shape[0]
-    z1 = obs @ net.w1 + net.b1
-    hidden = np.maximum(z1, 0.0)
-    q = hidden @ net.w2 + net.b2
+    hidden = net._hidden(obs)
+    q = hidden @ net.w2
+    q += net.b2
     rows = np.arange(batch)
     err = q[rows, actions] - targets
-    loss = float(np.mean(err ** 2))
+    # np.mean(err ** 2) is this sum divided by the count: the same bits
+    loss = float(np.add.reduce(err * err) / batch)
 
     dq = np.zeros_like(q)
     dq[rows, actions] = 2.0 * err / batch
-    grads = {
-        "w2": hidden.T @ dq,
-        "b2": dq.sum(axis=0),
-    }
-    dhidden = dq @ net.w2.T
-    dz1 = dhidden * (z1 > 0.0)
-    grads["w1"] = obs.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
+    grad = np.empty_like(net.theta)
+    grads = net.named(grad)
+    np.matmul(hidden.T, dq, out=grads["w2"])
+    np.add.reduce(dq, axis=0, out=grads["b2"])
+    dz1 = dq @ net.w2.T
+    # hidden > 0 exactly where the pre-activation is > 0 (NaN in neither)
+    dz1 *= hidden > 0.0
+    np.matmul(obs.T, dz1, out=grads["w1"])
+    np.add.reduce(dz1, axis=0, out=grads["b1"])
+    return loss, grad
 
 
 def train_step(est_net: QNetwork, target_net: QNetwork, buffer: ReplayBuffer,
@@ -191,9 +250,9 @@ def train_step(est_net: QNetwork, target_net: QNetwork, buffer: ReplayBuffer,
         return None
     batch = buffer.sample(hp.batch_size, rng)
     targets = td_targets(batch, target_net, hp.discount)
-    loss, grads = loss_and_gradients(est_net, batch[0], batch[1], targets)
-    for name, param in est_net.parameters().items():
-        param -= hp.learning_rate * grads[name]
+    loss, grad = loss_and_gradients(est_net, batch[0], batch[1], targets)
+    grad *= hp.learning_rate
+    est_net.theta -= grad
     return loss
 
 
@@ -272,8 +331,7 @@ def save_network(net: QNetwork, path) -> None:
         fh.write(NETWORK_MAGIC)
         fh.write(struct.pack("<III", net.input_size, net.hidden_size,
                              net.output_size))
-        for arr in (net.w1, net.b1, net.w2, net.b2):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(net.theta, dtype="<f8").tobytes())
 
 
 def load_network(path) -> QNetwork:
@@ -290,13 +348,10 @@ def load_network(path) -> QNetwork:
         if len(dims) < 12:
             raise ValueError("truncated network file header")
         input_size, hidden_size, output_size = struct.unpack("<III", dims)
-        shapes = (("w1", (input_size, hidden_size)), ("b1", (hidden_size,)),
-                  ("w2", (hidden_size, output_size)), ("b2", (output_size,)))
-        needed = 8 * sum(math.prod(shape) for _, shape in shapes)
+        needed = 8 * sum(math.prod(shape) for _, shape in
+                         _param_shapes(input_size, hidden_size, output_size))
         if os.fstat(fh.fileno()).st_size - len(header) < needed:
             raise ValueError("truncated network file")
         net = QNetwork(input_size, hidden_size, output_size)
-        for name, shape in shapes:
-            data = np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
-            setattr(net, name, data.reshape(shape).copy())
+        net.theta[:] = np.frombuffer(fh.read(needed), dtype="<f8")
     return net

@@ -15,6 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import semshard
 from dqn_oracles import gradient_check_instance, max_relative_gradient_error
@@ -256,6 +257,7 @@ def test_criterion_7_hyperparameter_conformance():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_3_adaptive_beats_static(tmp_path):
     """Ordinal sweep comparison at desk scale (the slow one)."""
     started = time.time()

@@ -1,5 +1,7 @@
 import csv
+import re
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -8,6 +10,11 @@ from semshard.config import (canonical_text, config_hash, default_grid,
                              load_config, parse_grid, read_manifest)
 from semshard.core import ConfigError, NetworkConfig
 from semshard.dqn import Hyperparameters
+
+FLOAT_KEYS = [f"{section}.{key}"
+              for section, cls in (("network", NetworkConfig),
+                                   ("agent", Hyperparameters))
+              for key, kind in get_type_hints(cls).items() if kind is float]
 
 
 class TestLoadConfig:
@@ -75,6 +82,14 @@ class TestLoadConfig:
         # the buffer could never hold a batch: zero gradient steps
         self._rejected(tmp_path, "[agent]\nbuffer_capacity = 63\n",
                        "agent.buffer_capacity")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_value_named(self, key, raw):
+        # NaN passes every range check, and inf passes a lower bound
+        env_key = "SEMSHARD_" + key.replace(".", "_").upper()
+        with pytest.raises(ConfigError, match=re.escape(key + ":")):
+            load_config(None, environ={env_key: raw})
 
     def test_readme_block_is_the_defaults(self, tmp_path):
         # the README's [network]/[agent] block, inline comments included

@@ -2,6 +2,7 @@
 and a gradient step as soon as the replay buffer holds a batch."""
 
 import math
+from typing import get_type_hints
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,13 +20,29 @@ def ordered(values):
     return st.tuples(values, values).map(sorted)
 
 
+def construct(draw, cls, kwargs):
+    """cls(**kwargs). Now and then one float field is first set to NaN or an
+    infinity, which range checks alone let through: if cls accepts that
+    value, the test runs it; if it rejects it, the example goes on with the
+    drawn value, so rejections cost no examples."""
+    key = draw(st.none() | st.sampled_from(
+        [k for k, kind in get_type_hints(cls).items() if kind is float]))
+    if key is not None:
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        try:
+            return cls(**{**kwargs, key: bad})
+        except ConfigError:
+            pass
+    return cls(**kwargs)
+
+
 @st.composite
 def network_configs(draw):
     nodes_max = draw(st.integers(1, 600))
     size_lo, size_hi = draw(ordered(st.integers(8_000, 8_000_000)))
     rate_lo, rate_hi = draw(ordered(st.floats(1e6, 1e8)))
     try:
-        return NetworkConfig(
+        return construct(draw, NetworkConfig, dict(
             nodes_min=min(draw(node_counts), nodes_max),
             nodes_initial=min(draw(node_counts), nodes_max),
             nodes_max=nodes_max, node_walk_step=draw(st.integers(1, 50)),
@@ -36,7 +53,7 @@ def network_configs(draw):
             message_size_step=draw(st.integers(1, 8_000_000)),
             rate_min=rate_lo, rate_max=rate_hi,
             semantic_time_max=draw(st.floats(0.01, 30.0)),
-            seed=draw(st.integers(0, 2**64 - 1)))
+            seed=draw(st.integers(0, 2**64 - 1))))
     except ConfigError:
         assume(False)
 
@@ -44,13 +61,13 @@ def network_configs(draw):
 @st.composite
 def hyperparameters(draw):
     try:
-        return Hyperparameters(
+        return construct(draw, Hyperparameters, dict(
             learning_rate=draw(st.floats(1e-4, 0.1)),
             discount=draw(st.floats(0.01, 0.99)),
             epsilon=draw(st.floats(0.0, 1.0)),
             batch_size=draw(st.integers(1, 16)),
             buffer_capacity=draw(st.integers(1, 32)),
-            hidden_units=draw(st.integers(1, 16)))
+            hidden_units=draw(st.integers(1, 16))))
     except ConfigError:
         assume(False)
 

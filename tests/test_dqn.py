@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import semshard.dqn as dqn
-from dqn_oracles import gradient_check_instance, max_relative_gradient_error
+from dqn_oracles import (gradient_check_instance, max_relative_gradient_error,
+                         reference_forward, reference_train_step)
 from semshard.core import ConfigError, NetworkConfig, Rng
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, act,
                           epsilon_for_epoch, load_network, save_network,
@@ -191,6 +192,84 @@ class TestSyncTarget:
         # one clone() sync at setup, then gradient steps 10 and 20
         grad_steps = 25 - hp.batch_size + 1
         assert len(calls) - 1 == grad_steps // hp.target_sync_interval
+
+
+class TestSameBitsAsReference:
+    @pytest.mark.parametrize("hidden,batch", [(128, 64), (16, 8)])
+    def test_steps_match_plain_numpy_bit_for_bit(self, hidden, batch):
+        # 300 gradient steps and 30 target syncs on live env transitions,
+        # from the same parameters and sampling stream on both sides
+        hp = Hyperparameters(hidden_units=hidden, batch_size=batch)
+        est = QNetwork(OBS, hidden, 5, Rng(8))
+        target = est.clone()
+        ref_est = {k: v.copy() for k, v in est.parameters().items()}
+        ref_target = {k: v.copy() for k, v in ref_est.items()}
+        buffer = ReplayBuffer(hp.buffer_capacity)
+        rng, ref_rng, env_rng = Rng(9), Rng(9), Rng(10)
+        env = ShardEnv(NetworkConfig(seed=3))
+        obs = env.reset(env_rng)
+        steps = 0
+        while steps < 300:
+            assert np.array_equal(est.forward(obs),
+                                  reference_forward(ref_est, obs))
+            action = act(est, obs, hp.epsilon, env_rng)
+            next_obs, reward, terminal, _ = env.step(action, env_rng)
+            buffer.push(obs, int(action), reward, next_obs, terminal)
+            loss = train_step(est, target, buffer, hp, rng)
+            assert loss == reference_train_step(ref_est, ref_target, buffer,
+                                                hp, ref_rng)
+            if loss is not None:
+                steps += 1
+                if steps % hp.target_sync_interval == 0:
+                    sync_target(est, target)
+                    ref_target = {k: v.copy() for k, v in ref_est.items()}
+            for net, ref in ((est, ref_est), (target, ref_target)):
+                for k, v in net.parameters().items():
+                    assert np.array_equal(v, ref[k]), k
+            obs = env.reset(env_rng) if terminal else next_obs
+
+
+class TestFlatParameters:
+    def test_assignment_reaches_forward_and_saved_bytes(self, tmp_path):
+        net = QNetwork(OBS, 16, 5, Rng(1))
+        x = random_obs(Rng(2))
+        w2 = Rng(3).uniform(-1, 1, (16, 5))
+        hidden = np.maximum(x @ net.w1 + net.b1, 0.0)
+        save_network(net, tmp_path / "before.bin")
+        net.w2 = w2
+        assert np.array_equal(net.forward(x), hidden @ w2 + net.b2)
+        save_network(net, tmp_path / "after.bin")
+        before = (tmp_path / "before.bin").read_bytes()
+        after = (tmp_path / "after.bin").read_bytes()
+        # header, then w1 and b1 precede w2
+        start = 20 + 8 * (OBS * 16 + 16)
+        end = start + 8 * w2.size
+        assert after[start:end] == w2.astype("<f8").tobytes() \
+            != before[start:end]
+        assert after[:start] == before[:start] and after[end:] == before[end:]
+
+    @pytest.mark.parametrize("name,shape", [
+        ("w1", (16, OBS)), ("b1", (17,)), ("w2", (5,)), ("b2", ())])
+    def test_wrong_shape_assignment_raises(self, name, shape):
+        # (5,) and () would broadcast into w2 and b2 without the check
+        net = QNetwork(OBS, 16, 5, Rng(1))
+        before = net.theta.copy()
+        with pytest.raises(ValueError, match=name):
+            setattr(net, name, np.ones(shape))
+        assert np.array_equal(net.theta, before)
+
+    def test_step_after_sync_leaves_target_theta(self):
+        hp = Hyperparameters(batch_size=4)
+        rng = Rng(4)
+        est, target = QNetwork(OBS, 16, 5, rng), QNetwork(OBS, 16, 5)
+        sync_target(est, target)
+        frozen = target.theta.copy()
+        buffer = ReplayBuffer(10)
+        for i in range(4):
+            buffer.push(random_obs(rng), i, 1.0, random_obs(rng), False)
+        assert train_step(est, target, buffer, hp, rng) is not None
+        assert np.array_equal(target.theta, frozen)
+        assert not np.array_equal(est.theta, frozen)
 
 
 class TestReplayBuffer:
