@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -51,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="e.g. 'nodes=100:500:100;rates=60:100:10;seeds=1,2,3' "
                               "(rates in Mbps)")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel cell workers")
+    p_sweep.add_argument("--workers", type=int, default=_usable_cpus(),
+                         help="parallel cell workers (default: usable CPUs)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_eval = sub.add_parser("eval-throughput",
@@ -172,6 +173,13 @@ def _read_reward_rows(path: Path) -> list[tuple[int, float]]:
     with open(path) as fh:
         reader = csv.DictReader(fh)
         return [(int(r["epoch"]), float(r["mean_reward"])) for r in reader]
+
+
+def _usable_cpus() -> int:
+    # os.cpu_count() also counts CPUs this process may not run on
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _cell_worker(payload):

@@ -36,7 +36,7 @@ class Action(IntEnum):
 
 NUM_ACTIONS = len(Action)
 
-OBSERVATION_SIZE = 8
+OBSERVATION_SIZE = 4
 
 EPISODE_CSV_HEADER = "round,K,S_bits,N,R_bps,t_sem,tps,action,clamped"
 
@@ -94,7 +94,6 @@ class ShardEnv:
         self._n = cfg.nodes_initial
         self._k = 1
         self._s = cfg.avg_message_size_max
-        self._rate, self._t_sem = self._draw_conditions(rng)
         self._round = 0
         self._terminal = False
         self.log = EpisodeLog(seed=rng.seed)
@@ -113,16 +112,15 @@ class ShardEnv:
         return self._n
 
     def observe(self) -> np.ndarray:
-        """Current state, each component scaled to [0, 1] by its maximum."""
+        """(K, S, N, round), each scaled to [0, 1] by its maximum.
+
+        Not the round's rate or semantic time: each round draws them afresh.
+        """
         cfg = self.cfg
         return np.array([
             self._k / cfg.max_shards_cap,
             self._s / cfg.avg_message_size_max,
             self._n / cfg.nodes_max,
-            self._rate / cfg.rate_max,
-            self._t_sem / cfg.semantic_time_max,
-            self._round % self._n / cfg.nodes_max,  # round-robin leader
-            0.0,  # consensus algorithm index: PBFT is the only one
             self._round / cfg.rounds_per_episode,
         ])
 
@@ -161,26 +159,21 @@ class ShardEnv:
         if self._terminal:
             raise EpisodeFinishedError("episode finished; call reset()")
 
-    def _draw_conditions(self, rng: Rng) -> tuple[float, float]:
-        if self._frozen is not None:
-            return self._frozen
-        cfg = self.cfg
-        rate = float(rng.uniform(cfg.rate_min, cfg.rate_max))
-        t_sem = float(rng.uniform(0.0, cfg.semantic_time_max))
-        return rate, t_sem
-
     def _advance(self, k_target: int, s_target: int, action_label: str,
                  clamped: bool, rng: Rng):
         cfg = self.cfg
         k_prev = self._k
         self._k, self._s = k_target, s_target
 
-        rate, t_sem = self._draw_conditions(rng)
         if self._frozen is None:
+            rate = float(rng.uniform(cfg.rate_min, cfg.rate_max))
+            t_sem = float(rng.uniform(0.0, cfg.semantic_time_max))
             walk = int(rng.integers(-cfg.node_walk_step, cfg.node_walk_step))
             self._n = min(max(self._n + walk, cfg.nodes_min), cfg.nodes_max)
             # node churn can strand the shard count above the valid range
             self._k, self._s, _ = clamp_sharding(self._k, self._s, self._n, cfg)
+        else:
+            rate, t_sem = self._frozen
 
         reconfigured = self._k != k_prev
         lat = round_latency(self._k, self._s, self._n,
@@ -193,14 +186,11 @@ class ShardEnv:
             n_nodes=self._n, rate=rate, semantic_time=t_sem, tps=tps,
             action=action_label, clamped=clamped, reconfigured=reconfigured,
         ))
-        self._rate, self._t_sem = rate, t_sem
         self._round += 1
         self._terminal = self._round >= cfg.rounds_per_episode
         info = {
             "clamped": clamped,
             "reconfigured": reconfigured,
-            "tps": tps,
-            "latency": lat,
             "n_nodes": self._n,
             "num_shards": self._k,
             "message_size": self._s,

@@ -118,7 +118,7 @@ def test_criterion_4_dqn_correctness():
     sync_ok = all(np.array_equal(v, target.parameters()[k])
                   for k, v in est.parameters().items())
     frozen = {k: v.copy() for k, v in target.parameters().items()}
-    buffer = ReplayBuffer(64)
+    buffer = ReplayBuffer(64, obs_size=8)
     for i in range(16):
         buffer.push(rng.uniform(0, 1, 8), i % 5, 1.0, rng.uniform(0, 1, 8),
                     False)

@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 from pathlib import Path
 from typing import get_type_hints
@@ -307,11 +308,15 @@ class TestCmdSweep:
         grid = "nodes=60,70;rates=60;seeds=3"
         out_serial, out_par = tmp_path / "s", tmp_path / "p"
         cli.main(["sweep", str(cfg_path), "--out", str(out_serial),
-                  "--grid", grid])
+                  "--grid", grid, "--workers", "1"])
         cli.main(["sweep", str(cfg_path), "--out", str(out_par),
                   "--grid", grid, "--workers", "2"])
         assert (out_serial / "sweep.csv").read_bytes() \
             == (out_par / "sweep.csv").read_bytes()
+
+    def test_workers_default_to_usable_cpus(self):
+        args = cli.build_parser().parse_args(["sweep", "--out", "x"])
+        assert args.workers == len(os.sched_getaffinity(0))
 
 
 class TestCmdEvalThroughput:

@@ -14,7 +14,7 @@ from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, act,
                           epsilon_for_epoch, load_network, save_network,
                           sync_target, td_targets, train, train_step,
                           write_training_csv)
-from semshard.env import Action, ShardEnv
+from semshard.env import OBSERVATION_SIZE, Action, ShardEnv
 
 OBS = 8
 
@@ -129,7 +129,7 @@ class TestTrainStep:
         est = QNetwork(OBS, 8, 5, Rng(1))
         target = est.clone()
         before = {k: v.copy() for k, v in est.parameters().items()}
-        buffer = ReplayBuffer(100)
+        buffer = ReplayBuffer(100, obs_size=OBS)
         for i in range(63):
             buffer.push(np.zeros(OBS), 0, 0.0, np.zeros(OBS), True)
         assert train_step(est, target, buffer, hp, Rng(0)) is None
@@ -141,7 +141,7 @@ class TestTrainStep:
         rng = Rng(7)
         est = QNetwork(OBS, 128, 5, rng)
         target = est.clone()  # frozen: never re-synced
-        buffer = ReplayBuffer(10)
+        buffer = ReplayBuffer(10, obs_size=OBS)
         buffer.push(random_obs(Rng(3)), 2, 1.0, random_obs(Rng(4)), True)
         loss = None
         for step in range(500):
@@ -167,7 +167,7 @@ class TestSyncTarget:
         est = QNetwork(OBS, 16, 5, rng)
         target = est.clone()
         frozen = {k: v.copy() for k, v in target.parameters().items()}
-        buffer = ReplayBuffer(100)
+        buffer = ReplayBuffer(100, obs_size=OBS)
         for i in range(10):
             buffer.push(random_obs(rng), i % 5, 1.0, random_obs(rng), False)
         for _ in range(9):
@@ -200,7 +200,7 @@ class TestSameBitsAsReference:
         # 300 gradient steps and 30 target syncs on live env transitions,
         # from the same parameters and sampling stream on both sides
         hp = Hyperparameters(hidden_units=hidden, batch_size=batch)
-        est = QNetwork(OBS, hidden, 5, Rng(8))
+        est = QNetwork(OBSERVATION_SIZE, hidden, 5, Rng(8))
         target = est.clone()
         ref_est = {k: v.copy() for k, v in est.parameters().items()}
         ref_target = {k: v.copy() for k, v in ref_est.items()}
@@ -264,7 +264,7 @@ class TestFlatParameters:
         est, target = QNetwork(OBS, 16, 5, rng), QNetwork(OBS, 16, 5)
         sync_target(est, target)
         frozen = target.theta.copy()
-        buffer = ReplayBuffer(10)
+        buffer = ReplayBuffer(10, obs_size=OBS)
         for i in range(4):
             buffer.push(random_obs(rng), i, 1.0, random_obs(rng), False)
         assert train_step(est, target, buffer, hp, rng) is not None
@@ -320,7 +320,7 @@ class TestRewardScalingInvariance:
             hp = Hyperparameters(batch_size=50, learning_rate=0.05)
             est = QNetwork(OBS, 64, 5, Rng(33))
             target = est.clone()
-            buffer = ReplayBuffer(64)
+            buffer = ReplayBuffer(64, obs_size=OBS)
             for s, a in itertools.product(range(10), range(5)):
                 buffer.push(states[s], a, scale * rewards[s, a], states[s],
                             True)

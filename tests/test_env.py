@@ -5,10 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from semshard.consensus import select_leader
 from semshard.core import ConfigError, NetworkConfig, Rng, partition
-from semshard.env import (Action, EpisodeFinishedError, ShardEnv, run_baseline,
-                          EPISODE_CSV_HEADER)
+from semshard.env import (OBSERVATION_SIZE, Action, EpisodeFinishedError,
+                          ShardEnv, run_baseline, EPISODE_CSV_HEADER)
 
 FROZEN = (1e7, 20.0)  # rate 10 Mbps, semantic time 20 s
 
@@ -31,7 +30,7 @@ class TestReset:
     def test_initial_state_and_normalization(self):
         env = ShardEnv(NetworkConfig(nodes_initial=100))
         obs = env.reset(Rng(0))
-        assert obs.shape == (8,)
+        assert obs.shape == (OBSERVATION_SIZE,)
         assert obs[2] == pytest.approx(100 / 600)
         assert env.sharding == (1, 8_000_000)
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
@@ -47,24 +46,30 @@ class TestReset:
 
 
 class TestObservation:
-    def test_leader_and_consensus_features_under_churn(self):
+    def test_four_scaled_features_under_churn(self):
         cfg = NetworkConfig(nodes_initial=60, nodes_min=20, node_walk_step=10)
         env = ShardEnv(cfg)
         rng = Rng(21)
-        node_counts, wrapped = set(), False
+        node_counts = set()
         for _ in range(3):
             obs, round_index = env.reset(rng), 0
             while True:
-                n = env.n_nodes
+                (k, s), n = env.sharding, env.n_nodes
                 node_counts.add(n)
-                wrapped |= round_index >= n
-                assert obs[5] == select_leader(range(n), round_index) / cfg.nodes_max
-                assert obs[6] == 0.0
+                assert obs.shape == (OBSERVATION_SIZE,)
+                assert np.array_equal(obs, [
+                    k / cfg.max_shards_cap, s / cfg.avg_message_size_max,
+                    n / cfg.nodes_max, round_index / cfg.rounds_per_episode])
                 if env.terminal:
                     break
                 obs, _, _, _ = env.step(Action(int(rng.integers(0, 4))), rng)
                 round_index += 1
-        assert len(node_counts) > 1 and wrapped
+        assert len(node_counts) > 1
+
+    def test_reset_draws_nothing(self):
+        rng = Rng(13)
+        ShardEnv(NetworkConfig()).reset(rng)
+        assert rng.uniform() == Rng(13).uniform()
 
 
 class TestStep:
