@@ -3,8 +3,8 @@
 from .core import (ConfigError, Content, InvalidShardingError, NetworkConfig,
                    Rng, ShardingState, VerifierNode, clamp_sharding,
                    make_sharding_state, partition)
-from .throughput import (LatencyBreakdown, RoundConditions, propagation_time,
-                         round_latency, throughput)
+from .throughput import (LatencyBreakdown, propagation_time, round_latency,
+                         throughput)
 from .consensus import (AggregationFailure, AggregationReport,
                         ChallengeOutcome, Commitment, Ledger, SemanticResult,
                         SettingMessage, commit, distribute_rewards,

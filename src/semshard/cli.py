@@ -26,7 +26,7 @@ from .core import (ConfigError, Content, InvalidShardingError, NetworkConfig,
                    Rng, VerifierNode, partition)
 from .dqn import (TrainRow, save_network, train, write_training_csv)
 from .env import ShardEnv, run_baseline
-from .throughput import RoundConditions, round_latency, throughput
+from .throughput import round_latency, throughput
 
 SWEEP_CSV_HEADER = "nodes,rate_max,seed,policy,epoch,mean_reward"
 
@@ -187,6 +187,8 @@ def _cell_worker(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers: must be at least 1")
     cfg = load_config(args.config)
     grid = parse_grid(args.grid) if args.grid else default_grid()
     for nodes, rate, seed in grid.cells():
@@ -224,10 +226,9 @@ def cmd_eval_throughput(args) -> int:
         raise ConfigError("--sem-time: must be non-negative")
     cfg = NetworkConfig()
     partition(args.nodes, args.shards, cfg.min_shard_size)  # rejects bad K
-    cond = RoundConditions(rate=args.rate, semantic_time=args.sem_time,
-                           reconfigured=args.reconfigured)
-    lat = round_latency(args.shards, args.msg_size, args.nodes, cond, cfg)
-    tps = throughput(args.shards, args.msg_size, lat, cfg)
+    lat = round_latency(args.shards, args.msg_size, args.nodes, args.rate,
+                        args.sem_time, args.reconfigured, cfg)
+    tps = throughput(args.shards, args.msg_size, lat.t_round, cfg)
     for name, value in (("t_config", lat.t_config), ("t_prop", lat.t_prop),
                         ("t_intra", lat.t_intra), ("t_inter", lat.t_inter),
                         ("t_round", lat.t_round)):
@@ -283,14 +284,14 @@ def cmd_pos_demo(args) -> int:
             ids = sorted(report.contributors)
             share = content.reward_pool // len(ids)
             print(f"aggregated over contributors {ids} "
-                  f"(threshold {report.threshold_used}); {share} tokens each")
+                  f"(threshold {cfg.accuracy_threshold}); {share} tokens each")
     elif args.mechanism == "interactive":
         solver, challenger = results[-1], results[0]
         outcome = consensus.interactive_challenge(solver, challenger, truth,
                                                   content.bond, ledger)
         print(f"challenge: solver {solver.verifier_id} vs challenger "
               f"{challenger.verifier_id} -> {outcome.winner} wins, "
-              f"bond {outcome.bond_transfer} transferred")
+              f"bond {content.bond} transferred")
     else:  # commitment
         vector = results[0].vector
         salt = consensus.random_salt(rng)

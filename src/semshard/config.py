@@ -171,6 +171,14 @@ def parse_grid(text: str) -> ScenarioGrid:
         if key not in parts:
             raise ConfigError(f"grid.{key}: unknown grid axis")
         parts[key] = _parse_values(key, body)
+    for key, values in parts.items():
+        # a repeated value would send two jobs to one cell directory
+        if len(set(values)) < len(values):
+            raise ConfigError(f"grid.{key}: repeated value")
+    for key in ("nodes", "seeds"):
+        for v in parts[key]:
+            if not float(v).is_integer():
+                raise ConfigError(f"grid.{key}: {v!r} is not a whole number")
     return ScenarioGrid(
         nodes_initial=tuple(int(n) for n in parts["nodes"]),
         rate_max=tuple(float(r) * 1e6 for r in parts["rates"]),

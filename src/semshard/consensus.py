@@ -47,23 +47,19 @@ class SemanticResult:
     """One verifier's semantic verification output for one content item."""
 
     verifier_id: int
-    content_id: int
     vector: np.ndarray
     accuracy: Optional[float] = None  # set by the leader via score_accuracy
 
 
 @dataclass(frozen=True)
 class AggregationReport:
-    content_id: int
     aggregated: np.ndarray
     contributors: frozenset[int]
-    threshold_used: float
 
 
 @dataclass(frozen=True)
 class ChallengeOutcome:
     winner: str  # "solver" or "challenger"
-    bond_transfer: int
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,6 @@ class Commitment:
     """Binding commitment to a semantic vector: digest = SHA-256(encode(v) || salt)."""
 
     digest: bytes
-    salt: bytes
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ def simulate_verification(verifier: VerifierNode, content: Content, rng: Rng,
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raw, norm = content.truth.copy(), 1.0  # measure-zero fallback
-    return SemanticResult(verifier.id, content.id, raw / norm)
+    return SemanticResult(verifier.id, raw / norm)
 
 
 def score_accuracy(result: SemanticResult, truth: np.ndarray) -> float:
@@ -196,10 +191,8 @@ def offchain_aggregate(results: Sequence[SemanticResult], truth: np.ndarray,
     if norm == 0.0:
         raise DegenerateInputError("contributor vectors cancel out")
     return AggregationReport(
-        content_id=results[0].content_id,
         aggregated=mean / norm,
         contributors=frozenset(r.verifier_id for r in passing),
-        threshold_used=threshold,
     )
 
 
@@ -237,7 +230,7 @@ def interactive_challenge(solver: SemanticResult, challenger: SemanticResult,
     else:
         winner, loser, name = solver, challenger, "solver"
     ledger.transfer(loser.verifier_id, winner.verifier_id, bond)
-    return ChallengeOutcome(winner=name, bond_transfer=bond)
+    return ChallengeOutcome(winner=name)
 
 
 def _encode_vector(vector: np.ndarray) -> bytes:
@@ -250,7 +243,7 @@ def commit(vector: np.ndarray, salt: bytes) -> Commitment:
     if len(salt) != 16:
         raise ValueError("salt must be exactly 128 bits")
     digest = hashlib.sha256(_encode_vector(vector) + salt).digest()
-    return Commitment(digest=digest, salt=salt)
+    return Commitment(digest=digest)
 
 
 def verify_commitment(c: Commitment, vector: np.ndarray, salt: bytes) -> bool:

@@ -179,6 +179,10 @@ class Rng:
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
+    def random(self) -> float:
+        """The next double in [0, 1); the same value as uniform() draws."""
+        return self._gen.random()
+
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
 

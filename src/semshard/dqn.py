@@ -195,7 +195,7 @@ class ReplayBuffer:
 
 def act(net: QNetwork, obs: np.ndarray, epsilon: float, rng: Rng) -> Action:
     """Epsilon-greedy action; greedy ties break to the lowest index."""
-    if rng.uniform() < epsilon:
+    if rng.random() < epsilon:
         return Action(int(rng.integers(0, NUM_ACTIONS - 1)))
     return Action(int(net._forward(obs).argmax()))
 

@@ -19,7 +19,7 @@ import numpy as np
 # of ratify_setting, select_leader and make_sharding_state
 from .consensus import ratify_setting, select_leader  # noqa: F401
 from .core import NetworkConfig, Rng, clamp_sharding, make_sharding_state  # noqa: F401
-from .throughput import RoundConditions, round_latency, throughput
+from .throughput import round_latency, throughput
 
 
 class EpisodeFinishedError(RuntimeError):
@@ -57,7 +57,6 @@ class EpisodeRecord:
 
 @dataclass
 class EpisodeLog:
-    seed: int
     records: list[EpisodeRecord] = field(default_factory=list)
 
     def write_csv(self, fh) -> None:
@@ -96,7 +95,7 @@ class ShardEnv:
         self._s = cfg.avg_message_size_max
         self._round = 0
         self._terminal = False
-        self.log = EpisodeLog(seed=rng.seed)
+        self.log = EpisodeLog()
         return self.observe()
 
     @property
@@ -176,9 +175,9 @@ class ShardEnv:
             rate, t_sem = self._frozen
 
         reconfigured = self._k != k_prev
-        lat = round_latency(self._k, self._s, self._n,
-                            RoundConditions(rate, t_sem, reconfigured), cfg)
-        tps = throughput(self._k, self._s, lat, cfg)
+        lat = round_latency(self._k, self._s, self._n, rate, t_sem,
+                            reconfigured, cfg)
+        tps = throughput(self._k, self._s, lat.t_round, cfg)
         reward = tps / cfg.reward_scale
 
         self.log.records.append(EpisodeRecord(
@@ -188,13 +187,7 @@ class ShardEnv:
         ))
         self._round += 1
         self._terminal = self._round >= cfg.rounds_per_episode
-        info = {
-            "clamped": clamped,
-            "reconfigured": reconfigured,
-            "n_nodes": self._n,
-            "num_shards": self._k,
-            "message_size": self._s,
-        }
+        info = {"clamped": clamped, "reconfigured": reconfigured}
         return self.observe(), reward, self._terminal, info
 
 

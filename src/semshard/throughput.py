@@ -15,15 +15,6 @@ from .core import NetworkConfig
 
 
 @dataclass(frozen=True)
-class RoundConditions:
-    """Exogenous draws for one round."""
-
-    rate: float            # bits/second, in [rate_min, rate_max]
-    semantic_time: float   # seconds, in [0, semantic_time_max]
-    reconfigured: bool     # true iff the sharding setting changed this round
-
-
-@dataclass(frozen=True)
 class LatencyBreakdown:
     t_config: float
     t_prop: float
@@ -38,14 +29,15 @@ def propagation_time(shard_size: int, message_size: float, rate: float) -> float
 
 
 def round_latency(num_shards: int, message_size: float, n_nodes: int,
-                  cond: RoundConditions, cfg: NetworkConfig) -> LatencyBreakdown:
-    """Compose the full latency breakdown for one consensus round."""
+                  rate: float, semantic_time: float, reconfigured: bool,
+                  cfg: NetworkConfig) -> LatencyBreakdown:
+    """One round's latency breakdown; rate in bits/s, semantic_time in s."""
     # the largest of K balanced shards, ceil(N/K), bounds the parallel phase
     n = -(-n_nodes // num_shards)
-    t_prop = propagation_time(n, message_size, cond.rate)
-    t_intra = t_prop + cfg.validation_delay + cond.semantic_time
-    t_inter = message_size / cond.rate
-    t_config = cfg.config_latency if cond.reconfigured else 0.0
+    t_prop = propagation_time(n, message_size, rate)
+    t_intra = t_prop + cfg.validation_delay + semantic_time
+    t_inter = message_size / rate
+    t_config = cfg.config_latency if reconfigured else 0.0
     return LatencyBreakdown(
         t_config=t_config,
         t_prop=t_prop,
@@ -55,7 +47,7 @@ def round_latency(num_shards: int, message_size: float, n_nodes: int,
     )
 
 
-def throughput(num_shards: int, message_size: float, lat: LatencyBreakdown,
+def throughput(num_shards: int, message_size: float, t_round: float,
                cfg: NetworkConfig) -> float:
     """Transactions per second for one round.
 
@@ -63,4 +55,4 @@ def throughput(num_shards: int, message_size: float, lat: LatencyBreakdown,
     round moves K * (S / tx_size) transactions in t_round seconds.
     Fractional transactions per message are allowed: this is a rate.
     """
-    return num_shards * (message_size / cfg.tx_size) / lat.t_round
+    return num_shards * (message_size / cfg.tx_size) / t_round

@@ -185,7 +185,7 @@ def test_criterion_5_proof_of_semantic_properties():
         results = []
         for i in range(int(rng.integers(1, 8))):
             acc = float(rng.uniform(0, 1))
-            r = SemanticResult(i, 0, np.array([acc, np.sqrt(1 - acc * acc)]))
+            r = SemanticResult(i, np.array([acc, np.sqrt(1 - acc * acc)]))
             r.accuracy = acc
             results.append(r)
         threshold = float(rng.uniform(0, 1))

@@ -158,6 +158,17 @@ class TestScenarioGrid:
         with pytest.raises(ConfigError, match="warp"):
             parse_grid("warp=1,2")
 
+    @pytest.mark.parametrize("text, message", [
+        ("nodes=100.7", "grid.nodes: 100.7 is not a whole number"),
+        ("seeds=1:2:0.5", "grid.seeds: 1.5 is not a whole number"),
+        ("seeds=inf", "grid.seeds: inf is not a whole number"),
+        ("nodes=100,200,100", "grid.nodes: repeated value"),
+        ("seeds=1,1.0", "grid.seeds: repeated value"),
+        ("rates=60,80,60", "grid.rates: repeated value")])
+    def test_truncated_or_repeated_value_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_grid(text)
+
 
 SMALL_CFG = """\
 [network]
@@ -317,6 +328,16 @@ class TestCmdSweep:
     def test_workers_default_to_usable_cpus(self):
         args = cli.build_parser().parse_args(["sweep", "--out", "x"])
         assert args.workers == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--out", str(out), "--workers", workers,
+                         "--grid", "nodes=60;rates=60;seeds=3"])
+        assert code == 2
+        assert capsys.readouterr().err \
+            == "error: --workers: must be at least 1\n"
+        assert not out.exists()
 
 
 class TestCmdEvalThroughput:

@@ -25,10 +25,10 @@ def unit(*components):
     return v / np.linalg.norm(v)
 
 
-def result_with_accuracy(verifier_id, accuracy, content_id=0):
+def result_with_accuracy(verifier_id, accuracy):
     """d=2 vector at the angle whose cosine against (1, 0) is `accuracy`."""
     vec = np.array([accuracy, math.sqrt(1.0 - accuracy ** 2)])
-    r = SemanticResult(verifier_id, content_id, vec)
+    r = SemanticResult(verifier_id, vec)
     r.accuracy = accuracy
     return r
 
@@ -88,23 +88,23 @@ class TestSimulateVerification:
 
 class TestScoreAccuracy:
     def test_identical_vectors(self):
-        r = SemanticResult(0, 0, TRUTH2.copy())
+        r = SemanticResult(0, TRUTH2.copy())
         assert score_accuracy(r, TRUTH2) == 1.0
         assert r.accuracy == 1.0
 
     def test_orthogonal_clips_to_zero(self):
-        r = SemanticResult(0, 0, np.array([0.0, 1.0]))
+        r = SemanticResult(0, np.array([0.0, 1.0]))
         assert score_accuracy(r, TRUTH2) == 0.0
-        r = SemanticResult(0, 0, np.array([-1.0, 0.0]))
+        r = SemanticResult(0, np.array([-1.0, 0.0]))
         assert score_accuracy(r, TRUTH2) == 0.0
 
     def test_forty_five_degrees(self):
-        r = SemanticResult(0, 0, np.array([1.0, 0.0]))
+        r = SemanticResult(0, np.array([1.0, 0.0]))
         truth = np.array([math.sqrt(2) / 2, math.sqrt(2) / 2])
         assert score_accuracy(r, truth) == pytest.approx(0.7071, abs=1e-4)
 
     def test_zero_vector_rejected(self):
-        r = SemanticResult(0, 0, np.zeros(2))
+        r = SemanticResult(0, np.zeros(2))
         with pytest.raises(DegenerateInputError):
             score_accuracy(r, TRUTH2)
 
@@ -130,7 +130,6 @@ class TestOffchainAggregate:
         mean = (results[0].vector + results[1].vector) / 2
         assert np.allclose(report.aggregated, mean / np.linalg.norm(mean),
                            atol=1e-12)
-        assert report.threshold_used == 0.8
 
     def test_all_below_threshold(self):
         results = [result_with_accuracy(0, 0.2), result_with_accuracy(1, 0.5)]
@@ -145,7 +144,7 @@ class TestOffchainAggregate:
 
     def test_unscored_result_rejected(self):
         with pytest.raises(UnscoredResultError):
-            offchain_aggregate([SemanticResult(0, 0, TRUTH2.copy())],
+            offchain_aggregate([SemanticResult(0, TRUTH2.copy())],
                                TRUTH2, 0.8)
 
     @given(seed=st.integers(0, 10_000))
@@ -173,7 +172,7 @@ class TestOffchainAggregate:
         results = [result_with_accuracy(i, float(rng.uniform(0.3, 1.0)))
                    for i in range(int(rng.integers(1, 6)))]
         report = offchain_aggregate(results, TRUTH2, 0.25)
-        agg = SemanticResult(99, 0, report.aggregated)
+        agg = SemanticResult(99, report.aggregated)
         assert score_accuracy(agg, TRUTH2) >= min(
             r.accuracy for r in results) - 1e-9
 
@@ -196,7 +195,7 @@ class TestOffchainAggregate:
             except AggregationFailure:
                 continue
             trials += 1
-            agg = SemanticResult(99, 0, report.aggregated)
+            agg = SemanticResult(99, report.aggregated)
             hits += score_accuracy(agg, truth) >= 0.8
         print(f"\naggregate>=threshold in {hits}/{trials} successful rounds")
         assert trials > 0
@@ -255,7 +254,6 @@ class TestInteractiveChallenge:
                                         result_with_accuracy(1, 0.9),
                                         TRUTH2, 25, ledger)
         assert outcome.winner == "challenger"
-        assert outcome.bond_transfer == 25
         assert ledger.balance(1) == 125 and ledger.balance(0) == 75
         assert ledger.conserved()
 
@@ -274,7 +272,7 @@ class TestInteractiveChallenge:
         assert ledger.balance(0) == 125 and ledger.balance(1) == 75
 
     def test_unscored_results_rejected(self):
-        unscored = SemanticResult(0, 0, TRUTH2.copy())
+        unscored = SemanticResult(0, TRUTH2.copy())
         with pytest.raises(UnscoredResultError):
             interactive_challenge(unscored, result_with_accuracy(1, 0.5),
                                   TRUTH2, 10, self._ledger())

@@ -98,6 +98,11 @@ class TestRng:
         expected = np.random.Generator(np.random.PCG64(42)).uniform(size=3)
         assert np.array_equal(got, expected)
 
+    def test_random_draws_what_uniform_draws(self):
+        a, b = Rng(5), Rng(5)
+        assert [a.random() for _ in range(1_000)] \
+            == [float(b.uniform()) for _ in range(1_000)]
+
     def test_spawn_is_deterministic_and_independent(self):
         a, b = Rng(9).spawn(0), Rng(9).spawn(0)
         assert a.seed == b.seed

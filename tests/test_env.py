@@ -138,9 +138,8 @@ class TestTrajectoryProperties:
         trace = [obs]
         while not env.terminal:
             action = Action(int(rng.integers(0, 4)))
-            obs, reward, _, info = env.step(action, rng)
-            trace.append((obs.tolist(), reward, info["num_shards"],
-                          info["message_size"], info["n_nodes"]))
+            obs, reward, _, _ = env.step(action, rng)
+            trace.append((obs.tolist(), reward, *env.sharding, env.n_nodes))
         return trace, env.log
 
     def test_seed_determines_trajectory(self):

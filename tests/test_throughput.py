@@ -3,8 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semshard.core import NetworkConfig
-from semshard.throughput import (RoundConditions, propagation_time,
-                                 round_latency, throughput)
+from semshard.throughput import propagation_time, round_latency, throughput
 
 CFG = NetworkConfig()
 
@@ -31,33 +30,28 @@ class TestPropagationTime:
 
 class TestRoundLatency:
     def test_reconfigured_round(self):
-        lat = round_latency(10, 8_000_000, 100,
-                            RoundConditions(1e7, 20.0, True), CFG)
+        lat = round_latency(10, 8_000_000, 100, 1e7, 20.0, True, CFG)
         assert lat.t_round == pytest.approx(164.901, abs=1e-9)
 
     def test_steady_round_drops_config_time(self):
-        lat = round_latency(10, 8_000_000, 100,
-                            RoundConditions(1e7, 20.0, False), CFG)
+        lat = round_latency(10, 8_000_000, 100, 1e7, 20.0, False, CFG)
         assert lat.t_config == 0.0
         assert lat.t_round == pytest.approx(164.900, abs=1e-9)
 
     def test_max_sharding(self):
-        lat = round_latency(25, 8_000_000, 100,
-                            RoundConditions(1e7, 20.0, False), CFG)
+        lat = round_latency(25, 8_000_000, 100, 1e7, 20.0, False, CFG)
         assert lat.t_round == pytest.approx(40.1, abs=1e-9)
 
     def test_largest_shard_bounds_propagation(self):
         # 101 nodes in 10 shards: one shard of 11 dominates
-        lat = round_latency(10, 8_000_000, 101,
-                            RoundConditions(1e7, 0.0, False), CFG)
+        lat = round_latency(10, 8_000_000, 101, 1e7, 0.0, False, CFG)
         assert lat.t_prop == pytest.approx(2 * 11 * 10 * 0.8)
 
     @given(k=st.integers(1, 25), s=st.integers(800_000, 8_000_000),
            rate=st.floats(1e7, 1e8), t_sem=st.floats(0.0, 20.0),
            reconf=st.booleans())
     def test_breakdown_additivity(self, k, s, rate, t_sem, reconf):
-        lat = round_latency(k, s, 100, RoundConditions(rate, t_sem, reconf),
-                            CFG)
+        lat = round_latency(k, s, 100, rate, t_sem, reconf, CFG)
         assert lat.t_round == pytest.approx(
             lat.t_config + lat.t_intra + lat.t_inter, rel=1e-12)
         assert lat.t_intra == pytest.approx(
@@ -66,9 +60,8 @@ class TestRoundLatency:
 
 class TestThroughput:
     def _tps(self, k, s, rate, t_sem, reconf, n=100):
-        lat = round_latency(k, s, n, RoundConditions(rate, t_sem, reconf),
-                            CFG)
-        return throughput(k, s, lat, CFG)
+        lat = round_latency(k, s, n, rate, t_sem, reconf, CFG)
+        return throughput(k, s, lat.t_round, CFG)
 
     def test_ten_shards(self):
         assert self._tps(10, 8_000_000, 1e7, 20.0, True) == pytest.approx(
@@ -81,9 +74,8 @@ class TestThroughput:
     def test_one_transaction_per_round(self):
         # one shard carrying exactly one transaction
         cfg = NetworkConfig(message_size_min=4_000, tx_size=4_000)
-        lat = round_latency(1, 4_000, 8, RoundConditions(1e7, 1.0, False),
-                            cfg)
-        assert throughput(1, 4_000, lat, cfg) == pytest.approx(
+        lat = round_latency(1, 4_000, 8, 1e7, 1.0, False, cfg)
+        assert throughput(1, 4_000, lat.t_round, cfg) == pytest.approx(
             1.0 / lat.t_round)
 
     @given(k=st.integers(1, 25), s=st.integers(800_000, 8_000_000),
@@ -107,7 +99,6 @@ def test_sweep_matches_straight_line_composition():
             t_round = t_prop + 0.1 + t_sem + s / rate
             expected = k * (s / 4000.0) / t_round
 
-            lat = round_latency(k, s, n, RoundConditions(rate, t_sem, False),
-                                CFG)
-            assert throughput(k, s, lat, CFG) == pytest.approx(expected,
-                                                               rel=1e-12)
+            lat = round_latency(k, s, n, rate, t_sem, False, CFG)
+            assert throughput(k, s, lat.t_round, CFG) == pytest.approx(
+                expected, rel=1e-12)
