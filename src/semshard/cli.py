@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consensus
-from .config import (RunConfig, config_hash, default_grid, load_config,
+from .config import (DEFAULT_GRID, RunConfig, config_hash, load_config,
                      parse_grid, read_manifest, write_manifest)
 from .core import (ConfigError, Content, InvalidShardingError, NetworkConfig,
                    Rng, VerifierNode, partition)
@@ -48,9 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid sweep: adaptive vs static-max")
     p_sweep.add_argument("config", nargs="?", default=None)
-    p_sweep.add_argument("--grid", default=None,
-                         help="e.g. 'nodes=100:500:100;rates=60:100:10;seeds=1,2,3' "
-                              "(rates in Mbps)")
+    p_sweep.add_argument("--grid", default=DEFAULT_GRID,
+                         help="rates in Mbps; an axis left out keeps its "
+                              "default (default: '%(default)s')")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--workers", type=int, default=_usable_cpus(),
                          help="parallel cell workers (default: usable CPUs)")
@@ -121,43 +122,35 @@ def cmd_train(args) -> int:
     return 0
 
 
-def run_sweep_cell(base: RunConfig, out_dir: str, nodes: int, rate: float,
-                   seed: int, policy: str) -> list[tuple[int, float]]:
+def run_sweep_cell(cfg: RunConfig, out_dir: str,
+                   policy: str) -> list[tuple[int, float]]:
     """Run (or resume) one sweep cell; returns its (epoch, mean_reward) rows.
 
-    Cells are fully determined by (config, nodes, rate, seed, policy), so the
-    result is the same whether cells run serially or in parallel. A cell
-    whose manifest carries this cell's config hash is reused as-is; any other
-    is recomputed, as is one whose manifest cannot be read.
+    A cell is fully determined by its config and policy, so the result is
+    the same whether cells run serially or in parallel. A cell whose
+    manifest carries this config's hash is reused as-is; any other is
+    recomputed, as is one whose manifest cannot be read.
     """
-    cfg = _cell_config(base, nodes, rate, seed)
-    cell = Path(out_dir) / "cells" / f"n{nodes}_r{int(rate)}_s{seed}_{policy}"
+    net = cfg.network
+    cell = (Path(out_dir) / "cells"
+            / f"n{net.nodes_initial}_r{net.rate_max}_s{net.seed}_{policy}")
     rewards_path = cell / "rewards.csv"
-    if (rewards_path.exists()
+    if not (rewards_path.exists()
             and _stored_hash(cell / "manifest.json") == config_hash(cfg)):
-        return _read_reward_rows(rewards_path)
-
-    cell.mkdir(parents=True, exist_ok=True)
-    rng = Rng(seed)
-    if policy == "adaptive":
-        net, rows = train(ShardEnv(cfg.network), cfg.agent, rng)
-        save_network(net, cell / "network.bin")
-        outputs = ["rewards.csv", "network.bin"]
-    else:
-        means = run_baseline(cfg.network, cfg.agent.epochs, rng)
-        rows = [TrainRow(i, m, 0.0, 0.0) for i, m in enumerate(means)]
-        outputs = ["rewards.csv"]
-    with open(rewards_path, "w") as fh:
-        write_training_csv(rows, fh)
-    write_manifest(cell / "manifest.json", cfg, outputs)
-    return [(row.epoch, row.mean_reward) for row in rows]
-
-
-def _cell_config(base: RunConfig, nodes: int, rate: float,
-                 seed: int) -> RunConfig:
-    network = replace(base.network, nodes_initial=nodes, rate_max=rate,
-                      seed=seed)
-    return RunConfig(network=network, agent=base.agent)
+        cell.mkdir(parents=True, exist_ok=True)
+        rng = Rng(net.seed)
+        if policy == "adaptive":
+            q_net, rows = train(ShardEnv(net), cfg.agent, rng)
+            save_network(q_net, cell / "network.bin")
+            outputs = ["rewards.csv", "network.bin"]
+        else:
+            means = run_baseline(net, cfg.agent.epochs, rng)
+            rows = [TrainRow(i, m, 0.0, 0.0) for i, m in enumerate(means)]
+            outputs = ["rewards.csv"]
+        with open(rewards_path, "w") as fh:
+            write_training_csv(rows, fh)
+        write_manifest(cell / "manifest.json", cfg, outputs)
+    return _read_reward_rows(rewards_path)
 
 
 def _stored_hash(manifest_path: Path) -> str | None:
@@ -189,15 +182,16 @@ def _cell_worker(payload):
 def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers: must be at least 1")
-    cfg = load_config(args.config)
-    grid = parse_grid(args.grid) if args.grid else default_grid()
-    for nodes, rate, seed in grid.cells():
-        _cell_config(cfg, nodes, int(rate), seed)  # a bad cell fails up front
+    base = load_config(args.config)
+    # building every cell's config checks it before any cell runs
+    cells = [RunConfig(network=replace(base.network, nodes_initial=nodes,
+                                       rate_max=rate, seed=seed),
+                       agent=base.agent)
+             for nodes, rate, seed in parse_grid(args.grid).cells()]
     out = _prepare_out(args.out)
 
-    jobs = [(cfg, str(out), nodes, int(rate), seed, policy)
-            for nodes, rate, seed in grid.cells()
-            for policy in ("adaptive", "baseline")]
+    jobs = [(cfg, str(out), policy)
+            for cfg in cells for policy in ("adaptive", "baseline")]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_cell_worker, jobs))
@@ -207,22 +201,24 @@ def cmd_sweep(args) -> int:
     with open(out / "sweep.csv", "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_CSV_HEADER.split(","))
-        for (job, rows) in zip(jobs, results):
-            _, _, nodes, rate, seed, policy = job
+        for (cfg, _, policy), rows in zip(jobs, results):
+            net = cfg.network
             for epoch, mean_reward in rows:
-                writer.writerow([nodes, rate, seed, policy, epoch,
-                                 repr(mean_reward)])
-    write_manifest(out / "manifest.json", cfg, ["sweep.csv"])
+                writer.writerow([net.nodes_initial, net.rate_max, net.seed,
+                                 policy, epoch, repr(mean_reward)])
+    write_manifest(out / "manifest.json", base, ["sweep.csv"])
     print(f"sweep complete: {len(jobs)} cells -> {out / 'sweep.csv'}")
     return 0
 
 
 def cmd_eval_throughput(args) -> int:
-    # written as "not value > 0" so that NaN is rejected too
+    for flag, value in (("--rate", args.rate), ("--sem-time", args.sem_time)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag}: must be finite")
     for flag, value in (("--rate", args.rate), ("--msg-size", args.msg_size)):
-        if not value > 0:
+        if value <= 0:
             raise ConfigError(f"{flag}: must be strictly positive")
-    if not args.sem_time >= 0:
+    if args.sem_time < 0:
         raise ConfigError("--sem-time: must be non-negative")
     cfg = NetworkConfig()
     partition(args.nodes, args.shards, cfg.min_shard_size)  # rejects bad K

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -121,69 +123,56 @@ def read_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+DEFAULT_GRID = "nodes=100:500:100;rates=60:100:10;seeds=1,2,3"
+
+
 @dataclass(frozen=True)
 class ScenarioGrid:
     """Sweep axes: initial node counts x max transmission rates x seeds."""
 
     nodes_initial: tuple[int, ...]
-    rate_max: tuple[float, ...]  # bits/second
+    rate_max: tuple[int, ...]  # bits/second
     seeds: tuple[int, ...]
 
-    def __post_init__(self):
-        for name in ("nodes_initial", "rate_max", "seeds"):
-            if not getattr(self, name):
-                raise ConfigError(f"grid.{name}: must be non-empty")
-        if any(n <= 0 for n in self.nodes_initial):
-            raise ConfigError("grid.nodes_initial: must be strictly positive")
-        if any(r <= 0 for r in self.rate_max):
-            raise ConfigError("grid.rate_max: must be strictly positive")
-
     def cells(self):
-        for nodes in self.nodes_initial:
-            for rate in self.rate_max:
-                for seed in self.seeds:
-                    yield nodes, rate, seed
-
-
-def default_grid() -> ScenarioGrid:
-    return ScenarioGrid(
-        nodes_initial=tuple(range(100, 501, 100)),
-        rate_max=tuple(float(mbps) * 1e6 for mbps in range(60, 101, 10)),
-        seeds=(1, 2, 3),
-    )
+        return itertools.product(self.nodes_initial, self.rate_max, self.seeds)
 
 
 def parse_grid(text: str) -> ScenarioGrid:
-    """Parse 'nodes=100:500:100;rates=60:100:10;seeds=1,2,3'.
+    """Parse e.g. DEFAULT_GRID into whole-number axes.
 
     Clauses are ';'-separated; each value list is either 'start:stop:step'
-    (inclusive) or a comma list. Rates are given in Mbps.
+    (inclusive) or a comma list. An axis the text leaves out takes its
+    DEFAULT_GRID clause. Rates are given in Mbps and rounded to whole bit/s.
     """
-    base = default_grid()
-    parts = {"nodes": list(base.nodes_initial),
-             "rates": [r / 1e6 for r in base.rate_max],
-             "seeds": list(base.seeds)}
+    bodies = dict(clause.split("=") for clause in DEFAULT_GRID.split(";"))
     for clause in filter(None, text.split(";")):
-        if "=" not in clause:
+        key, eq, body = clause.partition("=")
+        if not eq:
             raise ConfigError(f"grid clause {clause!r}: expected key=values")
-        key, _, body = clause.partition("=")
         key = key.strip()
-        if key not in parts:
+        if key not in bodies:
             raise ConfigError(f"grid.{key}: unknown grid axis")
-        parts[key] = _parse_values(key, body)
-    for key, values in parts.items():
-        # a repeated value would send two jobs to one cell directory
-        if len(set(values)) < len(values):
-            raise ConfigError(f"grid.{key}: repeated value")
-    for key in ("nodes", "seeds"):
-        for v in parts[key]:
-            if not float(v).is_integer():
+        bodies[key] = body
+    axes = []
+    for key, body in bodies.items():
+        scale = 1e6 if key == "rates" else 1
+        axis = []
+        for v in _parse_values(key, body):
+            if key != "rates" and not v.is_integer():
                 raise ConfigError(f"grid.{key}: {v!r} is not a whole number")
-    return ScenarioGrid(
-        nodes_initial=tuple(int(n) for n in parts["nodes"]),
-        rate_max=tuple(float(r) * 1e6 for r in parts["rates"]),
-        seeds=tuple(int(s) for s in parts["seeds"]),
-    )
+            if not math.isfinite(v * scale):
+                raise ConfigError(f"grid.{key}: {v!r} is not finite")
+            axis.append(round(v * scale))
+        if not axis:
+            raise ConfigError(f"grid.{key}: must be non-empty")
+        if key != "seeds" and min(axis) <= 0:
+            raise ConfigError(f"grid.{key}: must be strictly positive")
+        # a repeated value would send two jobs to one cell directory
+        if len(set(axis)) < len(axis):
+            raise ConfigError(f"grid.{key}: repeated value")
+        axes.append(tuple(axis))
+    return ScenarioGrid(*axes)
 
 
 def _parse_values(key: str, body: str) -> list[float]:

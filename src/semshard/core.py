@@ -133,6 +133,15 @@ class ShardingState:
         return True
 
 
+def _unit_vector(values, name: str) -> np.ndarray:
+    """values as a float array; ValueError unless its norm is 1."""
+    vector = np.asarray(values, dtype=float)
+    norm = float(np.linalg.norm(vector))
+    if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
+        raise ValueError(f"{name} vector norm {norm} != 1")
+    return vector
+
+
 @dataclass
 class VerifierNode:
     """A verifier with background knowledge modeled as a unit vector."""
@@ -141,10 +150,7 @@ class VerifierNode:
     knowledge: np.ndarray
 
     def __post_init__(self):
-        self.knowledge = np.asarray(self.knowledge, dtype=float)
-        norm = float(np.linalg.norm(self.knowledge))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"knowledge vector norm {norm} != 1")
+        self.knowledge = _unit_vector(self.knowledge, "knowledge")
 
 
 @dataclass
@@ -157,10 +163,7 @@ class Content:
     bond: int = 0
 
     def __post_init__(self):
-        self.truth = np.asarray(self.truth, dtype=float)
-        norm = float(np.linalg.norm(self.truth))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"truth vector norm {norm} != 1")
+        self.truth = _unit_vector(self.truth, "truth")
         if self.reward_pool < 0 or self.bond < 0:
             raise ValueError("reward_pool and bond must be non-negative")
 

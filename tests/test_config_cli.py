@@ -7,7 +7,7 @@ from typing import get_type_hints
 import pytest
 
 from semshard import cli
-from semshard.config import (canonical_text, config_hash, default_grid,
+from semshard.config import (DEFAULT_GRID, canonical_text, config_hash,
                              load_config, parse_grid, read_manifest)
 from semshard.core import ConfigError, NetworkConfig
 from semshard.dqn import Hyperparameters
@@ -101,6 +101,13 @@ class TestLoadConfig:
         assert load_config(str(path), environ={}) \
             == load_config(None, environ={})
 
+    def test_readme_sweep_grid_is_the_default(self):
+        # the README says "The default grid is the one shown."
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        shown = re.search(r'--grid "([^"]*)"', readme).group(1)
+        parsed = cli.build_parser().parse_args(["sweep", "--out", "x"])
+        assert shown == DEFAULT_GRID == parsed.grid
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="readable"):
             load_config("/no/such/file.cfg", environ={})
@@ -138,7 +145,7 @@ class TestCanonicalHash:
 
 class TestScenarioGrid:
     def test_default_grid_shape(self):
-        grid = default_grid()
+        grid = parse_grid("")
         assert grid.nodes_initial == (100, 200, 300, 400, 500)
         assert grid.rate_max == tuple(m * 1e6 for m in (60, 70, 80, 90, 100))
         assert len(list(grid.cells())) == 5 * 5 * len(grid.seeds)
@@ -148,11 +155,14 @@ class TestScenarioGrid:
         assert grid.nodes_initial == (100, 200, 300)
         assert grid.rate_max == (60e6, 80e6)
         assert grid.seeds == (4,)
+        # rounding to whole bit/s keeps fractional-Mbps ranges
+        assert parse_grid("rates=60:61:0.1").rate_max \
+            == tuple(range(60_000_000, 61_000_001, 100_000))
 
     def test_partial_spec_keeps_default_axes(self):
         grid = parse_grid("seeds=9")
         assert grid.seeds == (9,)
-        assert grid.nodes_initial == default_grid().nodes_initial
+        assert grid.nodes_initial == parse_grid("").nodes_initial
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigError, match="warp"):
@@ -164,7 +174,11 @@ class TestScenarioGrid:
         ("seeds=inf", "grid.seeds: inf is not a whole number"),
         ("nodes=100,200,100", "grid.nodes: repeated value"),
         ("seeds=1,1.0", "grid.seeds: repeated value"),
-        ("rates=60,80,60", "grid.rates: repeated value")])
+        ("rates=60,80,60", "grid.rates: repeated value"),
+        ("rates=nan", "grid.rates: nan is not finite"),
+        ("rates=inf", "grid.rates: inf is not finite"),
+        ("rates=60,60.0000001", "grid.rates: repeated value"),
+        ("rates=0.0000001", "grid.rates: must be strictly positive")])
     def test_truncated_or_repeated_value_rejected(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_grid(text)
@@ -303,14 +317,18 @@ class TestCmdSweep:
         assert "config_hash" in read_manifest(manifest)
         assert (out / "sweep.csv").read_bytes() == first
 
-    def test_bad_grid_cell_fails_before_any_cell_runs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid, key", [
+        ("nodes=60,700;rates=60;seeds=3", "network.nodes_initial"),
+        ("nodes=60;rates=nan;seeds=3", "grid.rates")], ids=["nodes", "rates"])
+    def test_bad_grid_cell_fails_before_any_cell_runs(self, tmp_path, capsys,
+                                                      grid, key):
         cfg_path = tmp_path / "cfg.cfg"
         cfg_path.write_text(SMALL_CFG)
         out = tmp_path / "sweep"
         code = cli.main(["sweep", str(cfg_path), "--out", str(out),
-                         "--grid", "nodes=60,700;rates=60;seeds=3"])
+                         "--grid", grid])
         assert code == 2
-        assert "network.nodes_initial" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert not (out / "cells").exists()
 
     def test_parallel_equals_serial(self, tmp_path):
@@ -376,8 +394,8 @@ class TestCmdEvalThroughput:
         assert code == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--rate", "0"), ("--rate", "nan"), ("--msg-size", "-5"),
-        ("--sem-time", "-1")])
+        ("--rate", "0"), ("--rate", "nan"), ("--rate", "inf"),
+        ("--msg-size", "-5"), ("--sem-time", "-1"), ("--sem-time", "inf")])
     def test_bad_flag_exits_2_naming_it(self, capsys, flag, value):
         assert cli.main(["eval-throughput", flag, value]) == 2
         captured = capsys.readouterr()

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semshard.core import (ConfigError, InvalidShardingError, NetworkConfig,
-                           Rng, clamp_sharding, make_sharding_state, partition)
+from semshard.core import (ConfigError, Content, InvalidShardingError,
+                           NetworkConfig, Rng, VerifierNode, clamp_sharding,
+                           make_sharding_state, partition)
 
 
 class TestPartition:
@@ -126,3 +127,14 @@ class TestShardingState:
         with pytest.raises(InvalidShardingError):
             bad.validate(cfg)
         assert state.is_valid(cfg)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: VerifierNode(id=0, knowledge=v),
+    lambda v: Content(id=0, truth=v)], ids=["VerifierNode", "Content"])
+@pytest.mark.parametrize("vector", [
+    [float("nan")] * 8, [2.0] + [0.0] * 7, [0.0] * 8],
+    ids=["nan", "norm-2", "zero"])
+def test_vector_without_unit_norm_rejected(make, vector):
+    with pytest.raises(ValueError, match="norm"):
+        make(vector)
