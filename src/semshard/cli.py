@@ -215,15 +215,25 @@ def cmd_eval_throughput(args) -> int:
     for flag, value in (("--rate", args.rate), ("--sem-time", args.sem_time)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag}: must be finite")
-    for flag, value in (("--rate", args.rate), ("--msg-size", args.msg_size)):
-        if value <= 0:
-            raise ConfigError(f"{flag}: must be strictly positive")
+    if args.rate <= 0:
+        raise ConfigError("--rate: must be strictly positive")
     if args.sem_time < 0:
         raise ConfigError("--sem-time: must be non-negative")
     cfg = NetworkConfig()
+    if args.msg_size < cfg.tx_size:
+        # the rule a config's message_size_min keeps: one message holds at
+        # least one transaction
+        raise ConfigError(f"--msg-size: must be >= tx_size ({cfg.tx_size})")
     partition(args.nodes, args.shards, cfg.min_shard_size)  # rejects bad K
-    lat = round_latency(args.shards, args.msg_size, args.nodes, args.rate,
-                        args.sem_time, args.reconfigured, cfg)
+    try:
+        lat = round_latency(args.shards, args.msg_size, args.nodes, args.rate,
+                            args.sem_time, args.reconfigured, cfg)
+        overflow = not math.isfinite(lat.t_round)
+    except OverflowError:  # an int --nodes or --msg-size past float range
+        overflow = True
+    if overflow:
+        raise ConfigError(
+            "--rate: t_round overflows at this --rate, --nodes and --msg-size")
     tps = throughput(args.shards, args.msg_size, lat.t_round, cfg)
     for name, value in (("t_config", lat.t_config), ("t_prop", lat.t_prop),
                         ("t_intra", lat.t_intra), ("t_inter", lat.t_inter),

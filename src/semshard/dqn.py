@@ -4,6 +4,15 @@ Two fully connected layers with ReLU, a FIFO replay ring buffer, epsilon-greedy
 exploration, TD targets from a periodically synchronized target network, and
 plain stochastic gradient descent. No autograd: the backward pass is written
 out (and checked against finite differences in the tests).
+
+Training batches carry the hidden layer's bias input: every observation row
+the replay buffer stores ends in a constant 1.0. Against the stacked
+[w1; b1] matrix such a row gives x @ w1 + b1 in one matmul, and the backward
+matmul that gives w1's gradient gives b1's as its last row. So no batch pass
+adds b1 or sums dz1 on its own. The bits are those of the separate forms:
+the matmul adds the 1.0 * b1 term after the others, and sums b1's gradient
+down the batch in row order, as a separate add and reduce would. The
+bit-for-bit test in tests/test_dqn.py checks this on the installed BLAS.
 """
 
 from __future__ import annotations
@@ -76,7 +85,9 @@ class QNetwork:
 
     All parameters live in one flat float64 vector, theta: w1, b1, w2, b2,
     each row-major, which is exactly the network.bin body. The four names
-    are views of theta. Weights initialize from
+    are views of theta. Since b1 directly follows w1, theta's head is also
+    the stacked (in + 1, hidden) matrix [w1; b1], the view w1b1: a batch row
+    ending in 1.0 times w1b1 is x @ w1 + b1. Weights initialize from
     Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)], biases from zero. Without an
     rng all parameters start at zero.
     """
@@ -99,6 +110,7 @@ class QNetwork:
             size += math.prod(shape)
         self.theta = np.zeros(size)
         self._params = self.named(self.theta)
+        self.w1b1 = self.blocks(self.theta)[0]
         if rng is not None:
             bound1 = 1.0 / np.sqrt(input_size)
             bound2 = 1.0 / np.sqrt(hidden_size)
@@ -110,6 +122,13 @@ class QNetwork:
         return {name: flat[part].reshape(shape)
                 for name, part, shape in self._layout}
 
+    def blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of the [w1; b1], w2 and b2 blocks of a vector laid out as
+        theta: the three blocks a batch gradient fills."""
+        _, _, (_, w2, w2_shape), (_, b2, _) = self._layout
+        head = flat[:w2.start].reshape(self.input_size + 1, self.hidden_size)
+        return head, flat[w2].reshape(w2_shape), flat[b2]
+
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Q-values for one observation (in,) or a batch (B, in)."""
         x = np.asarray(obs, dtype=float)
@@ -118,18 +137,26 @@ class QNetwork:
                 f"observation size {x.shape[-1]} != {self.input_size}")
         return self._forward(x)
 
-    # The private forward skips forward()'s input check. Both halves add the
-    # bias and take the ReLU in place: the same arithmetic as
+    # The private forms skip forward()'s input check. They add the biases
+    # and take the ReLU in place: the same arithmetic as
     # max(x @ w1 + b1, 0), without a second temporary.
     def _hidden(self, x: np.ndarray) -> np.ndarray:
         hidden = x @ self.w1
         hidden += self.b1
         return np.maximum(hidden, 0.0, out=hidden)
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        q = self._hidden(x) @ self.w2
+    def _batch_hidden(self, rows: np.ndarray) -> np.ndarray:
+        """Hidden layer of replay rows (B, in + 1), each ending in 1.0."""
+        hidden = rows @ self.w1b1
+        return np.maximum(hidden, 0.0, out=hidden)
+
+    def _q(self, hidden: np.ndarray) -> np.ndarray:
+        q = hidden @ self.w2
         q += self.b2
         return q
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        return self._q(self._hidden(x))
 
     def parameters(self) -> dict[str, np.ndarray]:
         return dict(self._params)
@@ -146,15 +173,21 @@ def sync_target(est_net: QNetwork, target_net: QNetwork) -> None:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer of transitions with strict FIFO eviction."""
+    """Fixed-capacity ring buffer of transitions with strict FIFO eviction.
+
+    Each stored obs and next_obs row is the observation followed by a
+    constant 1.0, the bias input of QNetwork.w1b1, so a sampled batch feeds
+    the batch forward as it comes, with no column appended per step. push
+    writes the 1.0 with its row: rows never pushed stay untouched zero pages.
+    """
 
     def __init__(self, capacity: int = 10_000,
                  obs_size: int = OBSERVATION_SIZE):
         self.capacity = capacity
-        self._obs = np.zeros((capacity, obs_size))
+        self._obs = np.zeros((capacity, obs_size + 1))
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity)
-        self._next_obs = np.zeros((capacity, obs_size))
+        self._next_obs = np.zeros((capacity, obs_size + 1))
         self._terminals = np.zeros(capacity, dtype=bool)
         self._cursor = 0
         self._size = 0
@@ -165,30 +198,34 @@ class ReplayBuffer:
     def push(self, obs: np.ndarray, action: int, reward: float,
              next_obs: np.ndarray, terminal: bool) -> None:
         i = self._cursor
-        self._obs[i] = obs
+        self._obs[i, :-1] = obs
+        self._obs[i, -1] = 1.0
         self._actions[i] = action
         self._rewards[i] = reward
-        self._next_obs[i] = next_obs
+        self._next_obs[i, :-1] = next_obs
+        self._next_obs[i, -1] = 1.0
         self._terminals[i] = terminal
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: Rng):
-        """Uniform sample with replacement: (obs, actions, rewards, next_obs, terminals)."""
+        """Uniform sample with replacement: (obs, actions, rewards, next_obs,
+        terminals), with obs and next_obs rows ending in the bias input 1.0."""
         idx = rng.integers(0, self._size - 1, size=batch_size)
         return (self._obs.take(idx, axis=0), self._actions[idx],
                 self._rewards[idx], self._next_obs.take(idx, axis=0),
                 self._terminals[idx])
 
     def snapshot(self) -> list[tuple]:
-        """Stored (obs, action, reward, next_obs, terminal) rows, oldest first."""
+        """Stored (obs, action, reward, next_obs, terminal) rows, oldest
+        first; obs and next_obs as pushed, without the bias input."""
         if self._size < self.capacity:
             order = range(self._size)
         else:
             order = [(self._cursor + i) % self.capacity
                      for i in range(self.capacity)]
-        return [(self._obs[i].copy(), int(self._actions[i]),
-                 float(self._rewards[i]), self._next_obs[i].copy(),
+        return [(self._obs[i, :-1].copy(), int(self._actions[i]),
+                 float(self._rewards[i]), self._next_obs[i, :-1].copy(),
                  bool(self._terminals[i]))
                 for i in order]
 
@@ -204,10 +241,10 @@ def td_targets(batch, target_net: QNetwork, discount: float) -> np.ndarray:
     """y = r + discount * max_a Q_target(s', a); y = r on terminal transitions.
 
     batch is the (obs, actions, rewards, next_obs, terminals) bundle from
-    ReplayBuffer.sample().
+    ReplayBuffer.sample(), next_obs rows ending in the bias input 1.0.
     """
     _, _, rewards, next_obs, terminals = batch
-    q = target_net._forward(next_obs)
+    q = target_net._q(target_net._batch_hidden(next_obs))
     # a left-to-right chain over the columns: max is exact, so this equals
     # q.max(axis=1) at a lower call cost
     best_next = q[:, 0].copy()
@@ -219,27 +256,28 @@ def td_targets(batch, target_net: QNetwork, discount: float) -> np.ndarray:
 def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
                        targets: np.ndarray):
     """Mean squared TD error on the taken actions, and its analytic gradient
-    as one vector laid out as net.theta."""
+    as one vector laid out as net.theta. obs rows end in the bias input 1.0,
+    as ReplayBuffer.sample() returns them."""
     batch = obs.shape[0]
-    hidden = net._hidden(obs)
-    q = hidden @ net.w2
-    q += net.b2
+    hidden = net._batch_hidden(obs)
+    q = net._q(hidden)
     rows = np.arange(batch)
     err = q[rows, actions] - targets
     # np.mean(err ** 2) is this sum divided by the count: the same bits
     loss = float(np.add.reduce(err * err) / batch)
 
-    dq = np.zeros_like(q)
+    dq = np.zeros(q.shape)
     dq[rows, actions] = 2.0 * err / batch
     grad = np.empty_like(net.theta)
-    grads = net.named(grad)
-    np.matmul(hidden.T, dq, out=grads["w2"])
-    np.add.reduce(dq, axis=0, out=grads["b2"])
+    w1b1_grad, w2_grad, b2_grad = net.blocks(grad)
+    np.matmul(hidden.T, dq, out=w2_grad)
+    np.add.reduce(dq, axis=0, out=b2_grad)
     dz1 = dq @ net.w2.T
     # hidden > 0 exactly where the pre-activation is > 0 (NaN in neither)
     dz1 *= hidden > 0.0
-    np.matmul(obs.T, dz1, out=grads["w1"])
-    np.add.reduce(dz1, axis=0, out=grads["b1"])
+    # the bias column makes the last row of this product dz1's column sum,
+    # b1's gradient, which lands where theta holds b1
+    np.matmul(obs.T, dz1, out=w1b1_grad)
     return loss, grad
 
 

@@ -9,13 +9,12 @@ in parallel, so the largest shard bounds the propagation term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import NetworkConfig
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
+class LatencyBreakdown(NamedTuple):
     t_config: float
     t_prop: float
     t_intra: float

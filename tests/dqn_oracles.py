@@ -42,7 +42,9 @@ def gradient_check_instance(seed, hidden=10, batch=4):
         return None
     actions = rng.integers(0, 4, size=batch)
     targets = rng.uniform(-1.0, 1.0, batch)
-    return net, obs, actions, targets
+    # loss_and_gradients takes replay rows, which end in the bias input 1.0
+    rows = np.hstack([obs, np.ones((batch, 1))])
+    return net, rows, actions, targets
 
 
 def max_relative_gradient_error(net, obs, actions, targets):
@@ -97,7 +99,10 @@ def reference_train_step(est, target, buffer, hp, rng):
     """train_step on dict parameters: SGD one array at a time."""
     if len(buffer) < hp.batch_size:
         return None
-    batch = buffer.sample(hp.batch_size, rng)
+    obs, actions, rewards, next_obs, terminals = buffer.sample(
+        hp.batch_size, rng)
+    # the plain observations, without the replay rows' bias input
+    batch = (obs[:, :-1], actions, rewards, next_obs[:, :-1], terminals)
     targets = reference_td_targets(batch, target, hp.discount)
     loss, grads = reference_loss_and_gradients(est, batch[0], batch[1],
                                                targets)

@@ -395,7 +395,11 @@ class TestCmdEvalThroughput:
 
     @pytest.mark.parametrize("flag, value", [
         ("--rate", "0"), ("--rate", "nan"), ("--rate", "inf"),
-        ("--msg-size", "-5"), ("--sem-time", "-1"), ("--sem-time", "inf")])
+        ("--msg-size", "-5"), ("--sem-time", "-1"), ("--sem-time", "inf"),
+        ("--rate", "1e-320"), ("--msg-size", "1"),
+        pytest.param("--nodes", str(10**160), id="--nodes-10**160"),
+        pytest.param("--nodes", str(10**400), id="--nodes-10**400"),
+        pytest.param("--msg-size", str(10**400), id="--msg-size-10**400")])
     def test_bad_flag_exits_2_naming_it(self, capsys, flag, value):
         assert cli.main(["eval-throughput", flag, value]) == 2
         captured = capsys.readouterr()

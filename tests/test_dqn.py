@@ -86,10 +86,12 @@ class TestAct:
 
 
 def zero_obs_bundle(actions, rewards, terminals):
-    """A ReplayBuffer.sample()-shaped batch with all-zero observations."""
+    """A ReplayBuffer.sample()-shaped batch with all-zero observations: each
+    row is OBS zeros and the bias input 1.0."""
     n = len(actions)
-    return (np.zeros((n, OBS)), np.array(actions, dtype=np.int64),
-            np.array(rewards, dtype=float), np.zeros((n, OBS)),
+    rows = np.hstack([np.zeros((n, OBS)), np.ones((n, 1))])
+    return (rows, np.array(actions, dtype=np.int64),
+            np.array(rewards, dtype=float), rows.copy(),
             np.array(terminals, dtype=bool))
 
 
@@ -287,6 +289,32 @@ class TestReplayBuffer:
             buffer.push(np.full(2, i), i % 5, float(i), np.zeros(2), False)
         _, _, rewards, _, _ = buffer.sample(1000, Rng(0))
         assert set(rewards.astype(int)) == set(range(8))
+
+    def test_sampled_rows_end_in_the_bias_input(self):
+        buffer = ReplayBuffer(5, obs_size=3)
+        rng = Rng(1)
+        stored = {}
+        for i in range(12):  # wraps the ring twice
+            obs, next_obs = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            buffer.push(obs, i % 5, float(i), next_obs, False)
+            stored[float(i)] = (obs, next_obs)
+        obs, _, rewards, next_obs, _ = buffer.sample(200, Rng(2))
+        assert obs.shape == next_obs.shape == (200, 4)
+        assert set(rewards) == {7.0, 8.0, 9.0, 10.0, 11.0}
+        for row, next_row, reward in zip(obs, next_obs, rewards):
+            assert row[3] == next_row[3] == 1.0
+            assert np.array_equal(row[:3], stored[reward][0])
+            assert np.array_equal(next_row[:3], stored[reward][1])
+
+    def test_snapshot_rows_have_the_observation_width(self):
+        buffer = ReplayBuffer(5, obs_size=3)
+        for i in range(7):
+            buffer.push(np.full(3, i), 0, 0.0, np.full(3, -i), False)
+        rows = buffer.snapshot()
+        assert len(rows) == 5
+        for i, (obs, _, _, next_obs, _) in zip(range(2, 7), rows):
+            assert np.array_equal(obs, np.full(3, i))
+            assert np.array_equal(next_obs, np.full(3, -i))
 
 
 class TestInitialization:

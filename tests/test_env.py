@@ -72,6 +72,32 @@ class TestObservation:
         assert rng.uniform() == Rng(13).uniform()
 
 
+class TestDraws:
+    @pytest.mark.parametrize("cfg_kwargs", [
+        {}, {"rate_min": 7_300_001.5, "rate_max": 61_100_000,
+             "semantic_time_max": 13.7, "nodes_initial": 60}],
+        ids=["defaults", "int-rate-max"])
+    def test_rounds_draw_what_rng_uniform_draws(self, cfg_kwargs):
+        # a mirror stream of the same seed, drawing through Rng.uniform and
+        # Rng.integers in round order, must see every round's values
+        cfg = NetworkConfig(**cfg_kwargs)
+        env = ShardEnv(cfg)
+        rng, mirror = Rng(31), Rng(31)
+        env.reset(rng)
+        while not env.terminal:
+            env.force_setting(cfg.nodes_initial // cfg.min_shard_size,
+                              cfg.avg_message_size_max, rng)
+        assert len(env.log.records) == cfg.rounds_per_episode
+        n = cfg.nodes_initial
+        for rec in env.log.records:
+            assert rec.rate == mirror.uniform(cfg.rate_min, cfg.rate_max)
+            assert rec.semantic_time == mirror.uniform(
+                0.0, cfg.semantic_time_max)
+            walk = mirror.integers(-cfg.node_walk_step, cfg.node_walk_step)
+            n = min(max(n + walk, cfg.nodes_min), cfg.nodes_max)
+            assert rec.n_nodes == n
+
+
 class TestStep:
     def test_noop_keeps_setting(self):
         env, _ = frozen_env()
