@@ -77,6 +77,18 @@ class SettingMessage:
     setting: ShardingState
 
 
+def _token_amount(verb: str, amount) -> int:
+    """amount as a Python int. Token amounts are non-negative integers; a
+    float, even a whole one, NaN or inf would break conservation or make
+    fractional tokens. A numpy integer is taken as an int, so that balances
+    cannot wrap at 64 bits."""
+    if not (type(amount) is int or isinstance(amount, np.integer)):
+        raise ValueError(f"cannot {verb} {amount!r}: token amounts are integers")
+    if amount < 0:
+        raise ValueError(f"cannot {verb} a negative amount ({amount})")
+    return int(amount)
+
+
 class Ledger:
     """Token balances for all participants.
 
@@ -89,8 +101,7 @@ class Ledger:
         self.total_supply = 0
 
     def mint(self, node_id, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("cannot mint a negative amount")
+        amount = _token_amount("mint", amount)
         self._balances[node_id] = self._balances.get(node_id, 0) + amount
         self.total_supply += amount
 
@@ -98,12 +109,11 @@ class Ledger:
         return self._balances.get(node_id, 0)
 
     def transfer(self, src, dst, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("cannot transfer a negative amount")
-        if self.balance(src) < amount:
-            raise InsufficientFundsError(
-                f"{src!r} holds {self.balance(src)}, needs {amount}")
-        self._balances[src] -= amount
+        amount = _token_amount("transfer", amount)
+        held = self._balances.get(src, 0)
+        if held < amount:
+            raise InsufficientFundsError(f"{src!r} holds {held}, needs {amount}")
+        self._balances[src] = held - amount
         self._balances[dst] = self._balances.get(dst, 0) + amount
 
     def holders(self) -> list:
@@ -129,33 +139,51 @@ def simulate_verification(verifier: VerifierNode, content: Content, rng: Rng,
     sum of the truth vector and Gaussian noise scaled by (1 - alignment),
     where alignment is the clipped cosine between knowledge and truth. A
     perfectly aligned verifier returns the truth exactly.
+
+    The noise array is fresh, so it is scaled, shifted and normalized in
+    place; `*` and `+` commute bitwise, so these are the bits of
+    `(truth + (1 - align) * noise) / norm`. The norm is sqrt(raw.dot(raw)),
+    numpy.linalg.norm's own formula for a contiguous real vector, without
+    its call overhead: the same bits.
     """
-    if verifier.knowledge.shape != content.truth.shape:
+    truth = content.truth
+    if verifier.knowledge.shape != truth.shape:
         raise DimensionMismatchError(
             f"knowledge dim {verifier.knowledge.shape} != "
-            f"truth dim {content.truth.shape}")
-    align = max(0.0, float(np.dot(verifier.knowledge, content.truth)))
-    noise = rng.normal(noise_sigma, size=content.truth.shape)
-    raw = content.truth + (1.0 - align) * noise
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raw, norm = content.truth.copy(), 1.0  # measure-zero fallback
-    return SemanticResult(verifier.id, raw / norm)
+            f"truth dim {truth.shape}")
+    if not math.isfinite(noise_sigma):
+        raise ValueError(f"noise_sigma must be finite, got {noise_sigma}")
+    align = max(0.0, float(verifier.knowledge.dot(truth)))
+    raw = rng.normal(noise_sigma, truth.shape)
+    raw *= 1.0 - align
+    raw += truth
+    norm = math.sqrt(raw.dot(raw))
+    if norm == 0.0:  # measure-zero fallback
+        return SemanticResult(verifier.id, truth.copy())
+    raw /= norm
+    return SemanticResult(verifier.id, raw)
 
 
 def score_accuracy(result: SemanticResult, truth: np.ndarray) -> float:
     """Accuracy of a result against shared knowledge: cosine clipped at zero.
 
-    Writes the score back into result.accuracy and returns it.
+    Writes the score back into result.accuracy and returns it. Each norm is
+    sqrt(v.dot(v)), numpy.linalg.norm's own formula for a contiguous real
+    vector, so the bits are numpy's at a third of the cost. A zero vector, or
+    one whose norm is not finite (a NaN or inf component, or overflow), has
+    no direction to score.
     """
     vec = np.asarray(result.vector, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if vec.shape != truth.shape:
         raise DimensionMismatchError(f"{vec.shape} != {truth.shape}")
-    nv, nt = float(np.linalg.norm(vec)), float(np.linalg.norm(truth))
+    nv, nt = math.sqrt(vec.dot(vec)), math.sqrt(truth.dot(truth))
     if nv == 0.0 or nt == 0.0:
         raise DegenerateInputError("cannot score a zero vector")
-    acc = max(0.0, float(np.dot(vec, truth)) / (nv * nt))
+    if not (math.isfinite(nv) and math.isfinite(nt)):
+        raise DegenerateInputError(
+            f"cannot score a vector whose norm is not finite ({nv}, {nt})")
+    acc = max(0.0, float(vec.dot(truth)) / (nv * nt))
     result.accuracy = acc
     return acc
 
@@ -172,9 +200,10 @@ def offchain_aggregate(results: Sequence[SemanticResult], truth: np.ndarray,
                        threshold: float) -> AggregationReport:
     """Leader-side aggregation: filter by accuracy threshold, average, renormalize.
 
-    Every result must already carry an accuracy score. Raises
-    AggregationFailure when no result passes the threshold (the content is
-    rejected and nothing is submitted for consensus).
+    Every result must already carry an accuracy score, and every passing
+    vector must have the truth's shape. Raises AggregationFailure when no
+    result passes the threshold (the content is rejected and nothing is
+    submitted for consensus).
     """
     if not results:
         raise AggregationFailure("no results to aggregate")
@@ -186,8 +215,16 @@ def offchain_aggregate(results: Sequence[SemanticResult], truth: np.ndarray,
         raise AggregationFailure(
             f"no result met threshold {threshold} "
             f"(best was {max(r.accuracy for r in results):.4f})")
-    mean = np.mean([r.vector for r in passing], axis=0)
-    norm = float(np.linalg.norm(mean))
+    try:
+        stacked = np.array([r.vector for r in passing])
+    except ValueError:  # numpy's "inhomogeneous shape"
+        stacked = None
+    if stacked is None or stacked.shape[1:] != np.shape(truth):
+        raise DimensionMismatchError(
+            f"contributor vectors do not all have the truth's shape "
+            f"{np.shape(truth)}")
+    mean = stacked.mean(axis=0)
+    norm = math.sqrt(mean.dot(mean))
     if norm == 0.0:
         raise DegenerateInputError("contributor vectors cancel out")
     return AggregationReport(
@@ -201,14 +238,16 @@ def distribute_rewards(report: AggregationReport, pool: int, producer,
     """Split the reward pool equally among contributors.
 
     The integer remainder stays with the producer, so the producer is debited
-    exactly pool - (pool mod n_contributors). Conserves total supply.
+    exactly pool - (pool mod n_contributors). Conserves total supply. A
+    report with no contributors raises AggregationFailure.
     """
-    if pool < 0:
-        raise ValueError("reward pool must be non-negative")
+    pool = _token_amount("distribute", pool)
     if ledger.balance(producer) < pool:
         raise InsufficientFundsError(
             f"producer {producer!r} holds {ledger.balance(producer)}, "
             f"pool is {pool}")
+    if not report.contributors:
+        raise AggregationFailure("the report has no contributors to reward")
     share = pool // len(report.contributors)
     for verifier_id in sorted(report.contributors):
         ledger.transfer(producer, verifier_id, share)

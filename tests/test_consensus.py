@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semshard.consensus import (AggregationFailure, DegenerateInputError,
-                                DimensionMismatchError, InsufficientFundsError,
-                                Ledger, NoVerifiersError, SemanticResult,
+from semshard.consensus import (AggregationFailure, AggregationReport,
+                                DegenerateInputError, DimensionMismatchError,
+                                InsufficientFundsError, Ledger,
+                                NoVerifiersError, SemanticResult,
                                 UnscoredResultError, commit,
                                 distribute_rewards, interactive_challenge,
                                 offchain_aggregate, propose_setting,
@@ -16,6 +17,8 @@ from semshard.consensus import (AggregationFailure, DegenerateInputError,
                                 verify_commitment)
 from semshard.core import (Content, NetworkConfig, Rng, VerifierNode,
                            make_sharding_state)
+from pos_oracles import (reference_score_accuracy,
+                         reference_simulate_verification, verification_pairs)
 
 CFG = NetworkConfig()
 
@@ -85,6 +88,89 @@ class TestSimulateVerification:
         with pytest.raises(DimensionMismatchError):
             simulate_verification(verifier, content, Rng(0))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"),
+                                       float("-inf"), -0.5])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        verifier = VerifierNode(0, unit(1, 2))
+        content = Content(0, unit(2, 1))
+        with pytest.raises(ValueError):
+            simulate_verification(verifier, content, Rng(0), noise_sigma=sigma)
+
+
+class _NegatedTruthRng:
+    """A stream whose noise is exactly -truth, for the zero-norm fallback."""
+
+    def __init__(self, truth):
+        self.truth = truth
+
+    def normal(self, scale=1.0, size=None):
+        return -self.truth
+
+
+class TestSameBitsAsReference:
+    """simulate_verification and score_accuracy against the plain-numpy forms
+    in pos_oracles: the same vector bytes, the same accuracy and the same
+    stream position afterwards."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 33])
+    def test_pairs(self, dim, sigma):
+        pairs = verification_pairs(dim, 25, seed=1000 * dim + int(10 * sigma))
+        fast, slow = Rng(dim), Rng(dim)
+        for verifier, content in pairs:
+            result = simulate_verification(verifier, content, fast, sigma)
+            expected = reference_simulate_verification(verifier, content,
+                                                       slow, sigma)
+            assert result.vector.dtype == expected.dtype
+            assert result.vector.tobytes() == expected.tobytes()
+            assert (score_accuracy(result, content.truth)
+                    == reference_score_accuracy(expected, content.truth))
+        assert fast.random() == slow.random()
+
+    def test_unnormalized_vectors_score_the_same(self):
+        gen = np.random.default_rng(4)
+        for dim in (1, 2, 8, 33):
+            for _ in range(50):
+                vec = gen.normal(size=dim) * 10.0 ** gen.uniform(-3, 3)
+                truth = gen.normal(size=dim)
+                assert (score_accuracy(SemanticResult(0, vec), truth)
+                        == reference_score_accuracy(vec, truth))
+
+    def test_anti_aligned_knowledge_clips_to_zero(self):
+        truth = unit(1, 2, 3, 4, 5, 6, 7, 8)
+        verifier = VerifierNode(0, -truth)
+        content = Content(0, truth)
+        fast, slow = Rng(8), Rng(8)
+        result = simulate_verification(verifier, content, fast, 0.5)
+        expected = reference_simulate_verification(verifier, content, slow,
+                                                   0.5)
+        assert result.vector.tobytes() == expected.tobytes()
+        assert fast.random() == slow.random()
+
+    def test_perfect_alignment_returns_truth(self):
+        truth = np.zeros(33)
+        truth[5] = 1.0
+        verifier = VerifierNode(0, truth.copy())
+        content = Content(0, truth)
+        fast, slow = Rng(9), Rng(9)
+        result = simulate_verification(verifier, content, fast, 3.0)
+        expected = reference_simulate_verification(verifier, content, slow,
+                                                   3.0)
+        assert result.vector.tobytes() == truth.tobytes()
+        assert expected.tobytes() == truth.tobytes()
+        assert fast.random() == slow.random()
+
+    def test_zero_norm_falls_back_to_a_copy_of_truth(self):
+        truth = np.array([1.0, 0.0, 0.0])
+        verifier = VerifierNode(0, np.array([0.0, 1.0, 0.0]))  # align = 0
+        content = Content(0, truth)
+        result = simulate_verification(verifier, content,
+                                       _NegatedTruthRng(truth), 1.0)
+        expected = reference_simulate_verification(
+            verifier, content, _NegatedTruthRng(truth), 1.0)
+        assert result.vector.tobytes() == expected.tobytes() == truth.tobytes()
+        assert result.vector is not truth
+
 
 class TestScoreAccuracy:
     def test_identical_vectors(self):
@@ -107,6 +193,16 @@ class TestScoreAccuracy:
         r = SemanticResult(0, np.zeros(2))
         with pytest.raises(DegenerateInputError):
             score_accuracy(r, TRUTH2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), 1e200])
+    def test_non_finite_norm_rejected(self, bad):
+        # 1e200 is finite, but its square overflows the norm
+        with pytest.raises(DegenerateInputError), np.errstate(over="ignore"):
+            score_accuracy(SemanticResult(2, np.array([bad, 1.0])), TRUTH2)
+        with pytest.raises(DegenerateInputError), np.errstate(over="ignore"):
+            score_accuracy(SemanticResult(2, TRUTH2.copy()),
+                           np.array([1.0, bad]))
 
 
 class TestSelectLeader:
@@ -146,6 +242,24 @@ class TestOffchainAggregate:
         with pytest.raises(UnscoredResultError):
             offchain_aggregate([SemanticResult(0, TRUTH2.copy())],
                                TRUTH2, 0.8)
+
+    def test_mixed_dimensions_rejected(self):
+        results = [result_with_accuracy(0, 0.9),
+                   SemanticResult(1, unit(1, 1, 1), accuracy=0.9)]
+        with pytest.raises(DimensionMismatchError):
+            offchain_aggregate(results, TRUTH2, 0.8)
+
+    def test_contributors_of_another_dimension_rejected(self):
+        results = [SemanticResult(i, unit(1, 1, 1), accuracy=0.9)
+                   for i in range(2)]
+        with pytest.raises(DimensionMismatchError):
+            offchain_aggregate(results, TRUTH2, 0.8)
+
+    def test_failing_result_of_another_dimension_is_not_averaged(self):
+        results = [result_with_accuracy(0, 0.9),
+                   SemanticResult(1, unit(1, 1, 1), accuracy=0.1)]
+        report = offchain_aggregate(results, TRUTH2, 0.8)
+        assert report.contributors == {0}
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -239,6 +353,23 @@ class TestDistributeRewards:
         report = offchain_aggregate([result_with_accuracy(0, 0.9)], TRUTH2, 0.8)
         with pytest.raises(InsufficientFundsError):
             distribute_rewards(report, 90, "producer", ledger)
+
+    @pytest.mark.parametrize("pool", [-1, 2.5, float("nan"), float("inf")])
+    def test_bad_pool_rejected_naming_it(self, pool):
+        ledger = self._ledger()
+        report = offchain_aggregate([result_with_accuracy(0, 0.9)], TRUTH2, 0.8)
+        with pytest.raises(ValueError, match="distribute") as err:
+            distribute_rewards(report, pool, "producer", ledger)
+        assert repr(pool) in str(err.value)
+        assert ledger.balance("producer") == 500
+
+    def test_no_contributors_rejected(self):
+        ledger = self._ledger()
+        report = AggregationReport(aggregated=TRUTH2.copy(),
+                                   contributors=frozenset())
+        with pytest.raises(AggregationFailure):
+            distribute_rewards(report, 90, "producer", ledger)
+        assert ledger.balance("producer") == 500
 
 
 class TestInteractiveChallenge:
@@ -347,6 +478,34 @@ class TestLedger:
             ledger.transfer(0, 1, -5)
         with pytest.raises(ValueError):
             ledger.mint(0, -1)
+
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf"), 2.5, 2.0,
+                                        True, "3"])
+    def test_non_integer_amounts_rejected(self, amount):
+        ledger = Ledger()
+        ledger.mint("p", 10)
+        with pytest.raises(ValueError, match="integers"):
+            ledger.mint("q", amount)
+        with pytest.raises(ValueError, match="integers"):
+            ledger.transfer("p", "q", amount)
+        assert ledger.balance("p") == 10 and ledger.balance("q") == 0
+        assert ledger.total_supply == 10 and ledger.conserved()
+
+    def test_numpy_integer_amounts_accepted(self):
+        ledger = Ledger()
+        ledger.mint("p", np.int64(10))
+        ledger.transfer("p", "q", np.int32(4))
+        assert ledger.balance("p") == 6 and ledger.balance("q") == 4
+        assert ledger.conserved()
+
+    def test_numpy_integer_balances_do_not_wrap(self):
+        ledger = Ledger()
+        ledger.mint("p", np.int64(2 ** 62))
+        ledger.mint("p", np.int64(2 ** 62))
+        ledger.transfer("p", "q", np.int64(2 ** 62))
+        ledger.transfer("p", "q", np.int64(2 ** 62))
+        assert ledger.balance("q") == ledger.total_supply == 2 ** 63
+        assert ledger.balance("p") == 0 and ledger.conserved()
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
