@@ -14,7 +14,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -135,9 +134,14 @@ def run_sweep_cell(cfg: RunConfig, out_dir: str,
     cell = (Path(out_dir) / "cells"
             / f"n{net.nodes_initial}_r{net.rate_max}_s{net.seed}_{policy}")
     rewards_path = cell / "rewards.csv"
+    manifest_path = cell / "manifest.json"
     if not (rewards_path.exists()
-            and _stored_hash(cell / "manifest.json") == config_hash(cfg)):
+            and _stored_hash(manifest_path) == config_hash(cfg)):
         cell.mkdir(parents=True, exist_ok=True)
+        # the old manifest goes before any output is rewritten, so a run cut
+        # off before the new one is written leaves no hash to vouch for rows
+        # of another config
+        manifest_path.unlink(missing_ok=True)
         rng = Rng(net.seed)
         if policy == "adaptive":
             q_net, rows = train(ShardEnv(net), cfg.agent, rng)
@@ -149,7 +153,7 @@ def run_sweep_cell(cfg: RunConfig, out_dir: str,
             outputs = ["rewards.csv"]
         with open(rewards_path, "w") as fh:
             write_training_csv(rows, fh)
-        write_manifest(cell / "manifest.json", cfg, outputs)
+        write_manifest(manifest_path, cfg, outputs)
     return _read_reward_rows(rewards_path)
 
 
@@ -193,6 +197,9 @@ def cmd_sweep(args) -> int:
     jobs = [(cfg, str(out), policy)
             for cfg in cells for policy in ("adaptive", "baseline")]
     if args.workers > 1:
+        # imported here: the pool stack (multiprocessing, socket, subprocess,
+        # logging) costs every other run 10-20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_cell_worker, jobs))
     else:

@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import NetworkConfig, Content, Rng, ShardingState, VerifierNode, clamp_sharding
+from .core import (NetworkConfig, Content, Rng, ShardingState, VerifierNode,
+                   clamp_sharding, token_amount)
 
 
 class DimensionMismatchError(ValueError):
@@ -77,18 +78,6 @@ class SettingMessage:
     setting: ShardingState
 
 
-def _token_amount(verb: str, amount) -> int:
-    """amount as a Python int. Token amounts are non-negative integers; a
-    float, even a whole one, NaN or inf would break conservation or make
-    fractional tokens. A numpy integer is taken as an int, so that balances
-    cannot wrap at 64 bits."""
-    if not (type(amount) is int or isinstance(amount, np.integer)):
-        raise ValueError(f"cannot {verb} {amount!r}: token amounts are integers")
-    if amount < 0:
-        raise ValueError(f"cannot {verb} a negative amount ({amount})")
-    return int(amount)
-
-
 class Ledger:
     """Token balances for all participants.
 
@@ -101,7 +90,7 @@ class Ledger:
         self.total_supply = 0
 
     def mint(self, node_id, amount: int) -> None:
-        amount = _token_amount("mint", amount)
+        amount = token_amount("mint", amount)
         self._balances[node_id] = self._balances.get(node_id, 0) + amount
         self.total_supply += amount
 
@@ -109,7 +98,7 @@ class Ledger:
         return self._balances.get(node_id, 0)
 
     def transfer(self, src, dst, amount: int) -> None:
-        amount = _token_amount("transfer", amount)
+        amount = token_amount("transfer", amount)
         held = self._balances.get(src, 0)
         if held < amount:
             raise InsufficientFundsError(f"{src!r} holds {held}, needs {amount}")
@@ -241,7 +230,7 @@ def distribute_rewards(report: AggregationReport, pool: int, producer,
     exactly pool - (pool mod n_contributors). Conserves total supply. A
     report with no contributors raises AggregationFailure.
     """
-    pool = _token_amount("distribute", pool)
+    pool = token_amount("distribute", pool)
     if ledger.balance(producer) < pool:
         raise InsufficientFundsError(
             f"producer {producer!r} holds {ledger.balance(producer)}, "

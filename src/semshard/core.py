@@ -142,6 +142,18 @@ def _unit_vector(values, name: str) -> np.ndarray:
     return vector
 
 
+def token_amount(what: str, amount) -> int:
+    """amount as a Python int; ValueError naming `what` otherwise. Token
+    amounts are non-negative integers; a float, even a whole one, NaN or inf
+    would break conservation or make fractional tokens. A numpy integer is
+    taken as an int, so that balances cannot wrap at 64 bits."""
+    if not (type(amount) is int or isinstance(amount, np.integer)):
+        raise ValueError(f"{what}: token amounts are integers, got {amount!r}")
+    if amount < 0:
+        raise ValueError(f"{what}: token amounts are non-negative, got {amount}")
+    return int(amount)
+
+
 @dataclass
 class VerifierNode:
     """A verifier with background knowledge modeled as a unit vector."""
@@ -164,8 +176,8 @@ class Content:
 
     def __post_init__(self):
         self.truth = _unit_vector(self.truth, "truth")
-        if self.reward_pool < 0 or self.bond < 0:
-            raise ValueError("reward_pool and bond must be non-negative")
+        self.reward_pool = token_amount("reward_pool", self.reward_pool)
+        self.bond = token_amount("bond", self.bond)
 
 
 class Rng:

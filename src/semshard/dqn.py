@@ -375,8 +375,9 @@ def save_network(net: QNetwork, path) -> None:
 def load_network(path) -> QNetwork:
     """Read a save_network file; ValueError on a malformed one.
 
-    The size the header's dims imply is checked against the file size before
-    any array is allocated.
+    The header's dims must all be positive, and the size they imply must be
+    the file's size to the byte; both are checked before any array is
+    allocated.
     """
     with open(path, "rb") as fh:
         header = fh.read(len(NETWORK_MAGIC) + 12)
@@ -385,11 +386,15 @@ def load_network(path) -> QNetwork:
             raise ValueError(f"not a serialized Q network: magic {magic!r}")
         if len(dims) < 12:
             raise ValueError("truncated network file header")
-        input_size, hidden_size, output_size = struct.unpack("<III", dims)
-        needed = 8 * sum(math.prod(shape) for _, shape in
-                         _param_shapes(input_size, hidden_size, output_size))
-        if os.fstat(fh.fileno()).st_size - len(header) < needed:
+        sizes = struct.unpack("<III", dims)
+        if 0 in sizes:
+            raise ValueError(f"network file header has a zero dimension: {sizes}")
+        needed = 8 * sum(math.prod(shape) for _, shape in _param_shapes(*sizes))
+        body = os.fstat(fh.fileno()).st_size - len(header)
+        if body < needed:
             raise ValueError("truncated network file")
-        net = QNetwork(input_size, hidden_size, output_size)
+        if body > needed:
+            raise ValueError(f"network file has {body - needed} trailing bytes")
+        net = QNetwork(*sizes)
         net.theta[:] = np.frombuffer(fh.read(needed), dtype="<f8")
     return net

@@ -1,6 +1,8 @@
 import csv
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import get_type_hints
 
@@ -317,6 +319,37 @@ class TestCmdSweep:
         assert "config_hash" in read_manifest(manifest)
         assert (out / "sweep.csv").read_bytes() == first
 
+    def test_resume_recomputes_cell_cut_off_before_its_manifest(
+            self, tmp_path, monkeypatch):
+        grid = ["--grid", "nodes=60;rates=60;seeds=3", "--workers", "1"]
+        resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+
+        def sweep(epochs, out):
+            cfg_path = tmp_path / f"epochs{epochs}.cfg"
+            cfg_path.write_text(SMALL_CFG.replace("epochs = 4",
+                                                  f"epochs = {epochs}"))
+            return cli.main(["sweep", str(cfg_path), "--out", str(out), *grid])
+
+        class Cut(Exception):
+            pass
+
+        def cut(*args):
+            raise Cut
+
+        assert sweep(2, resumed) == 0
+        # a run under another config dies after its outputs, before the
+        # manifest that would describe them
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "write_manifest", cut)
+            with pytest.raises(Cut):
+                sweep(3, resumed)
+        cell = resumed / "cells" / "n60_r60000000_s3_adaptive"
+        assert len((cell / "rewards.csv").read_text().splitlines()) == 1 + 3
+        assert sweep(2, resumed) == 0
+        assert sweep(2, fresh) == 0
+        assert (resumed / "sweep.csv").read_bytes() \
+            == (fresh / "sweep.csv").read_bytes()
+
     @pytest.mark.parametrize("grid, key", [
         ("nodes=60,700;rates=60;seeds=3", "network.nodes_initial"),
         ("nodes=60;rates=nan;seeds=3", "grid.rates")], ids=["nodes", "rates"])
@@ -342,6 +375,23 @@ class TestCmdSweep:
                   "--grid", grid, "--workers", "2"])
         assert (out_serial / "sweep.csv").read_bytes() \
             == (out_par / "sweep.csv").read_bytes()
+
+    def test_other_commands_do_not_import_the_pool(self):
+        # a fresh interpreter, so that no earlier test has loaded the pool
+        script = (
+            "import sys\n"
+            "from semshard import cli\n"
+            "assert cli.main(['eval-throughput']) == 0\n"
+            "assert cli.main(['pos-demo', '--mechanism', 'offchain']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('multiprocessing', 'concurrent.futures'))))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", script],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": path})
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "[]"
 
     def test_workers_default_to_usable_cpus(self):
         args = cli.build_parser().parse_args(["sweep", "--out", "x"])

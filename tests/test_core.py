@@ -138,3 +138,18 @@ class TestShardingState:
 def test_vector_without_unit_norm_rejected(make, vector):
     with pytest.raises(ValueError, match="norm"):
         make(vector)
+
+
+@pytest.mark.parametrize("field", ["reward_pool", "bond"])
+@pytest.mark.parametrize("amount", [2.5, 0.5, 2.0, float("nan"), float("inf"),
+                                    -1, True])
+def test_content_bad_token_amount_rejected_naming_field(field, amount):
+    with pytest.raises(ValueError, match=field):
+        Content(id=0, truth=[1.0, 0.0], **{field: amount})
+
+
+def test_content_token_amounts_taken_as_ints():
+    content = Content(id=0, truth=[1.0, 0.0], reward_pool=np.int64(120),
+                      bond=np.int32(25))
+    assert (content.reward_pool, content.bond) == (120, 25)
+    assert type(content.reward_pool) is int and type(content.bond) is int

@@ -406,6 +406,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             load_network(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        net = QNetwork(OBS, 8, 5, Rng(0))
+        path = tmp_path / "net.bin"
+        save_network(net, path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="trailing"):
+            load_network(path)
+
+    @pytest.mark.parametrize("dims", [(0, 8, 5), (OBS, 0, 5), (OBS, 8, 0),
+                                      (0, 0, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, dims):
+        # sized as the dims imply, so only the zero can fail it
+        body = 8 * (dims[0] * dims[1] + dims[1] + dims[1] * dims[2] + dims[2])
+        path = tmp_path / "net.bin"
+        path.write_bytes(dqn.NETWORK_MAGIC + struct.pack("<III", *dims)
+                         + b"\0" * body)
+        with pytest.raises(ValueError, match="zero dimension"):
+            load_network(path)
+
 
 class TestHyperparameters:
     def test_case_study_defaults(self):
