@@ -1,0 +1,77 @@
+"""Print SHA-256 prefixes of the outputs that pin semshard's bits.
+
+Every speed change must leave these unchanged; run this script from a copy of
+the checkout before the change and from one after, and compare the lines:
+
+    python3 scripts/output_digests.py
+
+It imports semshard from the src/ beside this script, so each checkout
+digests its own code, and writes only into a temporary directory. Covered:
+`train` (30 epochs, seed 3), a small `sweep` run serially and on two workers,
+`pos-demo` (7 verifiers, seed 2) under each mechanism, and `eval-throughput`
+on its defaults. One line per output: what ran, the file (or stdout), and
+the first 16 hex digits of its SHA-256. A run takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from semshard import cli  # noqa: E402
+
+TRAIN_CFG = "[agent]\nepochs = 30\n"
+SWEEP_CFG = "[agent]\nepochs = 6\nepsilon_decay = true\n"
+SWEEP_GRID = "nodes=100,500;rates=60,100;seeds=1,2"
+
+
+def show(what: str, name: str, data: bytes) -> None:
+    print(f"{what:26s} {name:12s} {hashlib.sha256(data).hexdigest()[:16]}")
+
+
+def run(argv: list[str]) -> bytes:
+    """Run the CLI in this process; its stdout, failing on a non-zero exit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"semshard {' '.join(argv)} exited {code}")
+    return out.getvalue().encode()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="semshard-digests-") as tmp:
+        tmp = Path(tmp)
+        (tmp / "train.cfg").write_text(TRAIN_CFG)
+        (tmp / "sweep.cfg").write_text(SWEEP_CFG)
+
+        run(["train", str(tmp / "train.cfg"), "--seed", "3",
+             "--out", str(tmp / "train")])
+        for name in ("rewards.csv", "network.bin"):
+            show("train --seed 3, epochs 30", name,
+                 (tmp / "train" / name).read_bytes())
+
+        for workers in ("1", "2"):
+            out = tmp / f"sweep-{workers}"
+            run(["sweep", str(tmp / "sweep.cfg"), "--grid", SWEEP_GRID,
+                 "--workers", workers, "--out", str(out)])
+            show(f"sweep --workers {workers}", "sweep.csv",
+                 (out / "sweep.csv").read_bytes())
+
+        for mechanism in ("offchain", "interactive", "commitment"):
+            stdout = run(["pos-demo", "--verifiers", "7", "--seed", "2",
+                          "--mechanism", mechanism])
+            show(f"pos-demo {mechanism}", "stdout", stdout)
+
+        show("eval-throughput defaults", "stdout", run(["eval-throughput"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

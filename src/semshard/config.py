@@ -143,9 +143,11 @@ def parse_grid(text: str) -> ScenarioGrid:
 
     Clauses are ';'-separated; each value list is either 'start:stop:step'
     (inclusive) or a comma list. An axis the text leaves out takes its
-    DEFAULT_GRID clause. Rates are given in Mbps and rounded to whole bit/s.
+    DEFAULT_GRID clause; one it names twice is rejected. Rates are given in
+    Mbps and rounded to whole bit/s.
     """
     bodies = dict(clause.split("=") for clause in DEFAULT_GRID.split(";"))
+    given = set()
     for clause in filter(None, text.split(";")):
         key, eq, body = clause.partition("=")
         if not eq:
@@ -153,6 +155,10 @@ def parse_grid(text: str) -> ScenarioGrid:
         key = key.strip()
         if key not in bodies:
             raise ConfigError(f"grid.{key}: unknown grid axis")
+        # a later clause would silently replace the earlier one's values
+        if key in given:
+            raise ConfigError(f"grid.{key}: axis given twice")
+        given.add(key)
         bodies[key] = body
     axes = []
     for key, body in bodies.items():

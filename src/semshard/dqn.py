@@ -151,7 +151,8 @@ class QNetwork:
         return np.maximum(hidden, 0.0, out=hidden)
 
     def _q(self, hidden: np.ndarray) -> np.ndarray:
-        q = hidden @ self.w2
+        # ndarray.dot runs the same BLAS call as @ at a lower dispatch cost
+        q = hidden.dot(self.w2)
         q += self.b2
         return q
 
@@ -270,14 +271,15 @@ def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
     dq[rows, actions] = 2.0 * err / batch
     grad = np.empty_like(net.theta)
     w1b1_grad, w2_grad, b2_grad = net.blocks(grad)
-    np.matmul(hidden.T, dq, out=w2_grad)
+    # np.dot, not np.matmul: the same gemm at a lower dispatch cost
+    np.dot(hidden.T, dq, out=w2_grad)
     np.add.reduce(dq, axis=0, out=b2_grad)
     dz1 = dq @ net.w2.T
     # hidden > 0 exactly where the pre-activation is > 0 (NaN in neither)
     dz1 *= hidden > 0.0
     # the bias column makes the last row of this product dz1's column sum,
     # b1's gradient, which lands where theta holds b1
-    np.matmul(obs.T, dz1, out=w1b1_grad)
+    np.dot(obs.T, dz1, out=w1b1_grad)
     return loss, grad
 
 

@@ -37,13 +37,9 @@ def round_latency(num_shards: int, message_size: float, n_nodes: int,
     t_intra = t_prop + cfg.validation_delay + semantic_time
     t_inter = message_size / rate
     t_config = cfg.config_latency if reconfigured else 0.0
-    return LatencyBreakdown(
-        t_config=t_config,
-        t_prop=t_prop,
-        t_intra=t_intra,
-        t_inter=t_inter,
-        t_round=t_config + t_intra + t_inter,
-    )
+    # positional, in field order: keywords cost ~0.25 us a call
+    return LatencyBreakdown(t_config, t_prop, t_intra, t_inter,
+                            t_config + t_intra + t_inter)
 
 
 def throughput(num_shards: int, message_size: float, t_round: float,

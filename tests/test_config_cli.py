@@ -180,7 +180,9 @@ class TestScenarioGrid:
         ("rates=nan", "grid.rates: nan is not finite"),
         ("rates=inf", "grid.rates: inf is not finite"),
         ("rates=60,60.0000001", "grid.rates: repeated value"),
-        ("rates=0.0000001", "grid.rates: must be strictly positive")])
+        ("rates=0.0000001", "grid.rates: must be strictly positive"),
+        ("nodes=100;nodes=200", "grid.nodes: axis given twice"),
+        ("seeds=1; rates=60;seeds =2", "grid.seeds: axis given twice")])
     def test_truncated_or_repeated_value_rejected(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_grid(text)
@@ -405,6 +407,16 @@ class TestCmdSweep:
         assert code == 2
         assert capsys.readouterr().err \
             == "error: --workers: must be at least 1\n"
+        assert not out.exists()
+
+    def test_repeated_axis_exits_2_before_out(self, tmp_path, capsys):
+        # the second clause used to replace the first: one node count ran
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--out", str(out), "--workers", "1",
+                         "--grid", "nodes=100;nodes=200;rates=60;seeds=3"])
+        assert code == 2
+        assert capsys.readouterr().err \
+            == "error: grid.nodes: axis given twice\n"
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 
@@ -7,7 +8,9 @@ import pytest
 
 from semshard.core import ConfigError, NetworkConfig, Rng, partition
 from semshard.env import (OBSERVATION_SIZE, Action, EpisodeFinishedError,
-                          ShardEnv, run_baseline, EPISODE_CSV_HEADER)
+                          EpisodeRecord, ShardEnv, run_baseline,
+                          EPISODE_CSV_HEADER)
+from semshard.throughput import round_latency, throughput
 
 FROZEN = (1e7, 20.0)  # rate 10 Mbps, semantic time 20 s
 
@@ -260,3 +263,43 @@ class TestEpisodeLog:
             assert float(row["tps"]) == rec.tps
             assert row["action"] == "INC_SHARDS"
             assert int(row["clamped"]) in (0, 1)
+
+
+class TestEpisodeRecord:
+    """The benchmark's self-test perturbs a record with dataclasses.replace,
+    and ShardEnv._advance builds each record positionally."""
+
+    def _live_episode(self):
+        cfg = NetworkConfig(rounds_per_episode=20)
+        env, rng = ShardEnv(cfg), Rng(4)
+        env.reset(rng)
+        steps = []
+        for action in itertools.islice(itertools.cycle(Action), 20):
+            _, reward, _, info = env.step(action, rng)
+            steps.append((action, reward, info, env.sharding, env.n_nodes))
+        return cfg, env.log.records, steps
+
+    def test_replace_gives_a_perturbed_copy(self):
+        _, records, _ = self._live_episode()
+        rec = records[7]
+        bad = dataclasses.replace(rec, tps=rec.tps * (1 + 1e-9))
+        assert bad != rec
+        assert dataclasses.replace(bad, tps=rec.tps) == rec
+
+    def test_fields_run_in_the_order_advance_passes_them(self):
+        cfg, records, steps = self._live_episode()
+        assert len(records) == len(steps)
+        for i, (rec, step) in enumerate(zip(records, steps)):
+            action, reward, info, (k, s), n = step
+            assert cfg.rate_min <= rec.rate <= cfg.rate_max
+            assert 0.0 <= rec.semantic_time <= cfg.semantic_time_max
+            lat = round_latency(k, s, n, rec.rate, rec.semantic_time,
+                                info["reconfigured"], cfg)
+            tps = throughput(k, s, lat.t_round, cfg)
+            assert tps / cfg.reward_scale == reward
+            # by keyword, so each value is checked against its field's name
+            assert rec == EpisodeRecord(
+                round=i, num_shards=k, message_size=s, n_nodes=n,
+                rate=rec.rate, semantic_time=rec.semantic_time, tps=tps,
+                action=action.name, clamped=info["clamped"],
+                reconfigured=info["reconfigured"])

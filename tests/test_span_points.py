@@ -30,3 +30,32 @@ def test_step_info_carries_the_keys_the_tracer_counts():
     tracing._count_step(rec, 0, (), shard_env.step(env.Action.INC_SHARDS, rng))
     tracing._count_step(rec, 1, (), shard_env.force_setting(2, 8_000_000, rng))
     assert rec.counts["env.steps"] == 2
+
+
+def test_traced_call_sites_stay_on_the_training_path(monkeypatch):
+    # the tracer times these names where train() and the env look them up;
+    # work moved off one of them would read 0 calls in the traced run
+    calls = {}
+
+    def count(owner, attr):
+        original = owner.__dict__[attr]
+
+        def counting(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    for owner, attr in ((dqn, "td_targets"), (dqn, "loss_and_gradients"),
+                        (dqn.ReplayBuffer, "sample"), (env, "clamp_sharding"),
+                        (env, "round_latency"), (env, "throughput")):
+        count(owner, attr)
+    rounds = 25
+    hp = dqn.Hyperparameters(batch_size=4, epochs=1)
+    dqn.train(env.ShardEnv(core.NetworkConfig(rounds_per_episode=rounds)),
+              hp, core.Rng(1))
+    grad_steps = rounds - hp.batch_size + 1
+    assert calls.pop("clamp_sharding") >= rounds
+    assert calls == {"sample": grad_steps, "td_targets": grad_steps,
+                     "loss_and_gradients": grad_steps,
+                     "round_latency": rounds, "throughput": rounds}
