@@ -196,11 +196,13 @@ def cmd_sweep(args) -> int:
 
     jobs = [(cfg, str(out), policy)
             for cfg in cells for policy in ("adaptive", "baseline")]
-    if args.workers > 1:
+    # the pool starts all its workers at once, so no more than there are jobs
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
         # imported here: the pool stack (multiprocessing, socket, subprocess,
         # logging) costs every other run 10-20 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_worker, jobs))
     else:
         results = [_cell_worker(job) for job in jobs]

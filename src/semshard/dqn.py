@@ -18,6 +18,7 @@ bit-for-bit test in tests/test_dqn.py checks this on the installed BLAS.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import struct
@@ -64,6 +65,23 @@ def _param_shapes(input_size: int, hidden_size: int,
             ("w2", (hidden_size, output_size)), ("b2", (output_size,)))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Per-shape constants the batch passes would otherwise rebuild every step.
+# Read-only, so no caller can change what a later batch reads.
+@functools.lru_cache(maxsize=8)
+def _zeros(shape: tuple) -> np.ndarray:
+    return _read_only(np.zeros(shape))
+
+
+@functools.lru_cache(maxsize=8)
+def _row_index(batch: int) -> np.ndarray:
+    return _read_only(np.arange(batch))
+
+
 def _param(name: str) -> property:
     """A parameter as a view of QNetwork.theta; assignment copies into it."""
 
@@ -85,7 +103,9 @@ class QNetwork:
 
     All parameters live in one flat float64 vector, theta: w1, b1, w2, b2,
     each row-major, which is exactly the network.bin body. The four names
-    are views of theta. Since b1 directly follows w1, theta's head is also
+    are views of theta, and so are the plain attributes _w1, _b1, _w2 and
+    _b2 that the passes read: assignment copies into the views, so neither
+    form goes stale. Since b1 directly follows w1, theta's head is also
     the stacked (in + 1, hidden) matrix [w1; b1], the view w1b1: a batch row
     ending in 1.0 times w1b1 is x @ w1 + b1. Weights initialize from
     Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)], biases from zero. Without an
@@ -110,6 +130,8 @@ class QNetwork:
             size += math.prod(shape)
         self.theta = np.zeros(size)
         self._params = self.named(self.theta)
+        # the views the properties return, read without the property call
+        self._w1, self._b1, self._w2, self._b2 = self._params.values()
         self.w1b1 = self.blocks(self.theta)[0]
         if rng is not None:
             bound1 = 1.0 / np.sqrt(input_size)
@@ -139,21 +161,23 @@ class QNetwork:
 
     # The private forms skip forward()'s input check. They add the biases
     # and take the ReLU in place: the same arithmetic as
-    # max(x @ w1 + b1, 0), without a second temporary.
+    # max(x @ w1 + b1, 0), without a second temporary. ndarray.dot runs the
+    # same BLAS call as @ at a lower dispatch cost.
     def _hidden(self, x: np.ndarray) -> np.ndarray:
-        hidden = x @ self.w1
-        hidden += self.b1
+        hidden = x.dot(self._w1)
+        hidden += self._b1
         return np.maximum(hidden, 0.0, out=hidden)
 
     def _batch_hidden(self, rows: np.ndarray) -> np.ndarray:
         """Hidden layer of replay rows (B, in + 1), each ending in 1.0."""
         hidden = rows @ self.w1b1
-        return np.maximum(hidden, 0.0, out=hidden)
+        # the same elementwise max as against 0.0; numpy's array-array loop
+        # runs faster than its array-scalar one
+        return np.maximum(hidden, _zeros(hidden.shape), out=hidden)
 
     def _q(self, hidden: np.ndarray) -> np.ndarray:
-        # ndarray.dot runs the same BLAS call as @ at a lower dispatch cost
-        q = hidden.dot(self.w2)
-        q += self.b2
+        q = hidden.dot(self._w2)
+        q += self._b2
         return q
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
@@ -231,11 +255,14 @@ class ReplayBuffer:
                 for i in order]
 
 
+_ACTIONS = tuple(Action)
+
+
 def act(net: QNetwork, obs: np.ndarray, epsilon: float, rng: Rng) -> Action:
     """Epsilon-greedy action; greedy ties break to the lowest index."""
     if rng.random() < epsilon:
-        return Action(int(rng.integers(0, NUM_ACTIONS - 1)))
-    return Action(int(net._forward(obs).argmax()))
+        return _ACTIONS[rng.integers(0, NUM_ACTIONS - 1)]
+    return _ACTIONS[net._forward(obs).argmax()]
 
 
 def td_targets(batch, target_net: QNetwork, discount: float) -> np.ndarray:
@@ -246,12 +273,14 @@ def td_targets(batch, target_net: QNetwork, discount: float) -> np.ndarray:
     """
     _, _, rewards, next_obs, terminals = batch
     q = target_net._q(target_net._batch_hidden(next_obs))
-    # a left-to-right chain over the columns: max is exact, so this equals
+    # max is exact, so reducing down the contiguous transpose equals
     # q.max(axis=1) at a lower call cost
-    best_next = q[:, 0].copy()
-    for a in range(1, q.shape[1]):
-        np.maximum(best_next, q[:, a], out=best_next)
-    return rewards + discount * best_next * ~terminals
+    targets = np.maximum.reduce(np.ascontiguousarray(q.T), axis=0)
+    # rewards + discount * best * ~terminals, in that order, in place
+    targets *= discount
+    targets *= ~terminals
+    targets += rewards
+    return targets
 
 
 def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
@@ -262,7 +291,7 @@ def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
     batch = obs.shape[0]
     hidden = net._batch_hidden(obs)
     q = net._q(hidden)
-    rows = np.arange(batch)
+    rows = _row_index(batch)
     err = q[rows, actions] - targets
     # np.mean(err ** 2) is this sum divided by the count: the same bits
     loss = float(np.add.reduce(err * err) / batch)
@@ -274,7 +303,7 @@ def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
     # np.dot, not np.matmul: the same gemm at a lower dispatch cost
     np.dot(hidden.T, dq, out=w2_grad)
     np.add.reduce(dq, axis=0, out=b2_grad)
-    dz1 = dq @ net.w2.T
+    dz1 = dq @ net._w2.T
     # hidden > 0 exactly where the pre-activation is > 0 (NaN in neither)
     dz1 *= hidden > 0.0
     # the bias column makes the last row of this product dz1's column sum,

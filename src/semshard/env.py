@@ -36,6 +36,13 @@ class Action(IntEnum):
 
 NUM_ACTIONS = len(Action)
 
+# (shard change, message-size steps, log label) by action value: a dict, so
+# a lookup finds exactly what Action() finds by value (2, np.int64(2), True,
+# a member) and misses -1 and 2.5, where a tuple index would take -1 as NOOP
+_MOVES = {a.value: (dk, ds, a.name) for a, dk, ds in (
+    (Action.INC_SHARDS, 1, 0), (Action.DEC_SHARDS, -1, 0),
+    (Action.INC_MSG, 0, 1), (Action.DEC_MSG, 0, -1), (Action.NOOP, 0, 0))}
+
 OBSERVATION_SIZE = 4
 
 EPISODE_CSV_HEADER = "round,K,S_bits,N,R_bps,t_sem,tps,action,clamped"
@@ -133,18 +140,17 @@ class ShardEnv:
         Returns (observation, reward, terminal, info).
         """
         self._require_active()
-        k, s = self._k, self._s
-        action = Action(action)
-        if action == Action.INC_SHARDS:
-            k += 1
-        elif action == Action.DEC_SHARDS:
-            k -= 1
-        elif action == Action.INC_MSG:
-            s += self.cfg.message_size_step
-        elif action == Action.DEC_MSG:
-            s -= self.cfg.message_size_step
+        try:
+            dk, ds, label = _MOVES[action]
+        except (KeyError, TypeError):
+            # what Action() takes past a plain lookup (an unhashable value
+            # equal to one), or its ValueError before any state changes
+            dk, ds, label = _MOVES[Action(action)]
+        k, s = self._k + dk, self._s
+        if ds:
+            s += ds * self.cfg.message_size_step
         k, s, clamped = clamp_sharding(k, s, self._n, self.cfg)
-        return self._advance(k, s, action.name, clamped, rng)
+        return self._advance(k, s, label, clamped, rng)
 
     def force_setting(self, num_shards: int, message_size: int, rng: Rng):
         """Advance a round with the setting pinned (policy bypass).

@@ -378,6 +378,40 @@ class TestCmdSweep:
         assert (out_serial / "sweep.csv").read_bytes() \
             == (out_par / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers, grid, pools", [
+        ("3", "nodes=60;rates=60;seeds=3", [2]),
+        ("8", "nodes=60,70;rates=60;seeds=3", [4]),
+        ("2", "nodes=60,70;rates=60;seeds=3", [2]),
+        ("1", "nodes=60;rates=60;seeds=3", [])])
+    def test_pool_starts_no_more_workers_than_jobs(self, tmp_path,
+                                                   monkeypatch, workers,
+                                                   grid, pools):
+        # the pool forks all max_workers processes at once; this stand-in
+        # records the count and runs the jobs inline, starting none
+        import concurrent.futures
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        cfg_path = tmp_path / "cfg.cfg"
+        cfg_path.write_text(SMALL_CFG)
+        assert cli.main(["sweep", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--grid", grid, "--workers", workers]) == 0
+        assert started == pools
+
     def test_other_commands_do_not_import_the_pool(self):
         # a fresh interpreter, so that no earlier test has loaded the pool
         script = (

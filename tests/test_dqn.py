@@ -74,6 +74,12 @@ class TestAct:
         net = toy_net([2.0, 2.0, 0.0, 0.0, 0.0])
         assert act(net, np.ones(OBS), 0.0, Rng(0)) == Action(0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0], ids=["greedy", "explore"])
+    def test_returns_action_members(self, epsilon):
+        net, rng = toy_net([1.0, 5.0, 3.0, 2.0, 0.0]), Rng(3)
+        for _ in range(20):
+            assert type(act(net, np.ones(OBS), epsilon, rng)) is Action
+
     def test_full_exploration_is_uniform(self):
         rng = Rng(12)
         net = toy_net([9.0, 0.0, 0.0, 0.0, 0.0])
@@ -110,6 +116,25 @@ class TestTdTargets:
         target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0])
         batch = zero_obs_bundle([0, 1], [0.7, -0.2], [False, True])
         assert td_targets(batch, target, 0.0) == pytest.approx([0.7, -0.2])
+
+
+class TestBatchConstants:
+    def test_cached_constants_are_read_only(self):
+        # the batch passes share these across steps and networks: a write
+        # would corrupt every later batch of the same shape
+        net = toy_net([1.0, 5.0, 3.0, 2.0, 0.0])
+        batch = zero_obs_bundle([0, 3, 4], [1.0, 0.5, -0.2],
+                                [False, True, False])
+        targets = td_targets(batch, net, 0.98)
+        dqn.loss_and_gradients(net, batch[0], batch[1], targets)
+        zeros, rows = dqn._zeros((3, net.hidden_size)), dqn._row_index(3)
+        assert zeros is dqn._zeros((3, net.hidden_size))
+        assert not zeros.any() and rows.tolist() == [0, 1, 2]
+        for array in (zeros, rows):
+            with pytest.raises(ValueError):
+                array[0] = 7
+            with pytest.raises(ValueError):
+                np.add(array, 1, out=array)
 
 
 class TestGradients:

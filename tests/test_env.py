@@ -158,6 +158,51 @@ class TestStep:
             env.step(Action.NOOP, Rng(0))
 
 
+class TestActionValues:
+    """step takes exactly the values Action() takes, and logs each action's
+    own name."""
+
+    @pytest.mark.parametrize("bad", [-1, 5, 2.5, "2"])
+    def test_rejected_before_any_state_changes(self, bad):
+        with pytest.raises(ValueError):
+            Action(bad)
+        env, _ = frozen_env()
+        env.reset(Rng(0))
+        env.step(Action.INC_SHARDS, Rng(0))
+        obs, records = env.observe(), list(env.log.records)
+        with pytest.raises(ValueError):
+            env.step(bad, Rng(0))
+        assert np.array_equal(env.observe(), obs)  # round counter included
+        assert env.sharding == (2, 8_000_000)
+        assert env.log.records == records
+
+    @pytest.mark.parametrize("value, member", [
+        (2, Action.INC_MSG), (np.int64(2), Action.INC_MSG),
+        (True, Action.DEC_SHARDS), (np.array(3), Action.DEC_MSG)],
+        ids=["int", "np.int64", "bool", "unhashable"])
+    def test_accepted_values_step_like_their_member(self, value, member):
+        steps = []
+        for action in (value, member):
+            env = ShardEnv(NetworkConfig(seed=4))
+            rng = Rng(4)
+            env.reset(rng)
+            env.step(Action.INC_SHARDS, rng)
+            env.step(Action.DEC_MSG, rng)
+            obs, reward, terminal, info = env.step(action, rng)
+            steps.append((obs.tolist(), reward, terminal, info,
+                           env.sharding, env.log.records))
+        assert steps[0] == steps[1]
+
+    def test_each_action_logs_its_own_name(self):
+        env, _ = frozen_env()
+        env.reset(Rng(0))
+        for action in Action:
+            env.step(action, Rng(0))
+        env.force_setting(2, 8_000_000, Rng(0))
+        assert [r.action for r in env.log.records] == [
+            "INC_SHARDS", "DEC_SHARDS", "INC_MSG", "DEC_MSG", "NOOP", "FORCED"]
+
+
 class TestTrajectoryProperties:
     def _rollout(self, seed, rounds=100):
         cfg = NetworkConfig(nodes_initial=60, rounds_per_episode=rounds)
