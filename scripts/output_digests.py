@@ -1,16 +1,20 @@
 """Print SHA-256 prefixes of the outputs that pin semshard's bits.
 
-Every speed change must leave these unchanged; run this script from a copy of
-the checkout before the change and from one after, and compare the lines:
+Every speed change must leave these unchanged, unless CHANGES.md says why
+they moved; run this script from a copy of the checkout before the change and
+from one after, and compare the lines:
 
     python3 scripts/output_digests.py
 
 It imports semshard from the src/ beside this script, so each checkout
 digests its own code, and writes only into a temporary directory. Covered:
-`train` (30 epochs, seed 3), a small `sweep` run serially and on two workers,
-`pos-demo` (7 verifiers, seed 2) under each mechanism, and `eval-throughput`
-on its defaults. One line per output: what ran, the file (or stdout), and
-the first 16 hex digits of its SHA-256. A run takes a few seconds.
+`train` (30 epochs, seed 3) run twice, a small `sweep` run serially and on
+two workers, `pos-demo` (7 verifiers, seed 2) under each mechanism, and
+`eval-throughput` on its defaults. One line per output: what ran, the file
+(or stdout), and the first 16 hex digits of its SHA-256. The two `train`
+runs, and the two `sweep` runs, must print equal digests: within one
+checkout that shows determinism, also when the outputs moved on purpose. A
+run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -51,11 +55,13 @@ def main() -> int:
         (tmp / "train.cfg").write_text(TRAIN_CFG)
         (tmp / "sweep.cfg").write_text(SWEEP_CFG)
 
-        run(["train", str(tmp / "train.cfg"), "--seed", "3",
-             "--out", str(tmp / "train")])
-        for name in ("rewards.csv", "network.bin"):
-            show("train --seed 3, epochs 30", name,
-                 (tmp / "train" / name).read_bytes())
+        for run_no in ("1", "2"):
+            out = tmp / f"train-{run_no}"
+            run(["train", str(tmp / "train.cfg"), "--seed", "3",
+                 "--out", str(out)])
+            for name in ("rewards.csv", "network.bin"):
+                show(f"train --seed 3, run {run_no}", name,
+                     (out / name).read_bytes())
 
         for workers in ("1", "2"):
             out = tmp / f"sweep-{workers}"

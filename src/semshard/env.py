@@ -173,8 +173,8 @@ class ShardEnv:
         self._k, self._s = k_target, s_target
 
         if self._frozen is None:
-            # Rng.uniform's own formula, low + (high - low) * u, on the same
-            # double, without its slower scalar call
+            # what Rng.uniform(low, high) returns, low + (high - low) * u,
+            # without its extra call
             rate = cfg.rate_min + (cfg.rate_max - cfg.rate_min) * rng.random()
             t_sem = cfg.semantic_time_max * rng.random()
             walk = int(rng.integers(-cfg.node_walk_step, cfg.node_walk_step))

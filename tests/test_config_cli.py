@@ -242,6 +242,16 @@ class TestCmdTrain:
         assert code == 2
         assert "discount" in capsys.readouterr().err
 
+    def test_walk_wider_than_rng_serves_exits_2_naming_key(self, tmp_path,
+                                                           capsys):
+        # loads as an int, but no round could draw its walk
+        path = tmp_path / "wide.cfg"
+        path.write_text("[network]\nnode_walk_step = 9223372036854775808\n")
+        code = cli.main(["train", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "network.node_walk_step" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_out_exits_3(self, small_cfg_path, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

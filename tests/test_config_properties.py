@@ -14,6 +14,9 @@ from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
 # Bounded so the test takes a few seconds. Node counts often fall near
 # min_shard_size, where the validators draw the line.
 node_counts = st.integers(1, 12) | st.integers(1, 600)
+# Now and then a huge walk step: up to 2**31 - 1 its span, 2 * step + 1,
+# fits what Rng.integers serves, and above that the config must not load.
+walk_steps = st.integers(1, 50) | st.integers(2**31 - 2, 2**64)
 
 
 def ordered(values):
@@ -45,7 +48,7 @@ def network_configs(draw):
         return construct(draw, NetworkConfig, dict(
             nodes_min=min(draw(node_counts), nodes_max),
             nodes_initial=min(draw(node_counts), nodes_max),
-            nodes_max=nodes_max, node_walk_step=draw(st.integers(1, 50)),
+            nodes_max=nodes_max, node_walk_step=draw(walk_steps),
             min_shard_size=draw(st.integers(4, 10)),
             rounds_per_episode=draw(st.integers(1, 10)),
             tx_size=draw(st.integers(1_000, 8_000)),

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semshard.core import (ConfigError, Content, InvalidShardingError,
-                           NetworkConfig, Rng, VerifierNode, clamp_sharding,
-                           make_sharding_state, partition)
+from semshard.core import (BLOCK_DOUBLES, MAX_INTEGER_SPAN, ConfigError,
+                           Content, InvalidShardingError, NetworkConfig, Rng,
+                           VerifierNode, clamp_sharding, make_sharding_state,
+                           partition)
 
 
 class TestPartition:
@@ -73,10 +76,18 @@ class TestNetworkConfig:
         (dict(min_shard_size=3), "min_shard_size"),
         (dict(validation_delay=0.0), "validation_delay"),
         (dict(accuracy_threshold=1.5), "accuracy_threshold"),
+        (dict(node_walk_step=2**31), "node_walk_step"),
+        (dict(node_walk_step=2**63), "node_walk_step"),
     ])
     def test_invalid_values_name_the_key(self, kwargs, key):
         with pytest.raises(ConfigError, match=key):
             NetworkConfig(**kwargs)
+
+    def test_widest_walk_rng_serves_is_accepted(self):
+        # the walk draws from [-step, step], a span of 2 * step + 1
+        step = (MAX_INTEGER_SPAN - 1) // 2
+        NetworkConfig(node_walk_step=step)
+        assert -step <= Rng(0).integers(-step, step) <= step
 
 
 class TestRng:
@@ -103,6 +114,99 @@ class TestRng:
         a, b = Rng(5), Rng(5)
         assert [a.random() for _ in range(1_000)] \
             == [float(b.uniform()) for _ in range(1_000)]
+
+    def test_draws_serve_the_generators_own_doubles_in_order(self):
+        # scalar and sized draws, interleaved, one straddling the first
+        # refill and one longer than a whole block
+        rng = Rng(77)
+        served = []
+        for _ in range(BLOCK_DOUBLES - 3):
+            served.append(rng.random())
+        served.extend(rng.uniform(size=5))  # crosses the block's end
+        served.append(rng.random())
+        served.extend(rng.uniform(size=(2, 3)).ravel())
+        served.extend(rng.uniform(size=BLOCK_DOUBLES + 10))
+        for _ in range(BLOCK_DOUBLES):
+            served.append(rng.random())
+        expected = np.random.Generator(np.random.PCG64(77)).random(
+            len(served))
+        assert np.array_equal(served, expected)
+
+    def test_scalar_draws_are_python_numbers(self):
+        rng = Rng(3)
+        assert type(rng.random()) is float
+        assert type(rng.uniform(2.0, 5.0)) is float
+        assert type(rng.integers(-4, 4)) is int
+        assert rng.integers(-4, 4, size=3).dtype == np.int64
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (-2.5, 7.25),
+                                           (7_300_001.5, 61_100_000)])
+    def test_uniform_is_low_plus_span_times_u(self, low, high):
+        a, b = Rng(11), Rng(11)
+        for _ in range(BLOCK_DOUBLES + 7):
+            assert a.uniform(low, high) == low + (high - low) * b.random()
+        sized = a.uniform(low, high, size=100)
+        assert np.array_equal(
+            sized, [low + (high - low) * b.random() for _ in range(100)])
+
+    @pytest.mark.parametrize("span", [1, 5, 11, 10_000])
+    def test_integers_hit_every_value_and_stay_inside(self, span):
+        low, high = -3, span - 4
+        a, b = Rng(span), Rng(span)
+        draws = a.integers(low, high, size=30 * span)
+        assert draws.min() >= low and draws.max() <= high
+        assert set(draws.tolist()) == set(range(low, high + 1))
+        u = np.array([b.random() for _ in range(30 * span)])
+        assert np.array_equal(draws, low + np.floor(u * span))
+        scalars = [a.integers(low, high) for _ in range(30 * span)]
+        assert set(scalars) == set(range(low, high + 1))
+        assert scalars == [low + math.floor(b.random() * span)
+                           for _ in range(30 * span)]
+
+    def test_integers_serve_spans_up_to_the_limit(self):
+        rng = Rng(8)
+        draws = rng.integers(0, MAX_INTEGER_SPAN - 1, size=1_000)
+        assert draws.min() >= 0 and draws.max() < MAX_INTEGER_SPAN
+        assert draws.max() >= 2**31  # the top bit of the span is reached
+        for low, high in [(0, MAX_INTEGER_SPAN), (-2**40, 2**40), (5, 4)]:
+            with pytest.raises(ValueError, match=str(high)):
+                rng.integers(low, high)
+            with pytest.raises(ValueError, match=str(high)):
+                rng.integers(low, high, size=3)
+
+    def test_over_limit_span_consumes_nothing(self):
+        a, b = Rng(6), Rng(6)
+        with pytest.raises(ValueError, match="span"):
+            a.integers(-2**31, 2**31)
+        assert a.random() == b.random()
+
+    def test_served_arrays_keep_their_values_through_later_draws(self):
+        rng = Rng(21)
+        doubles, ints = rng.uniform(size=8), rng.integers(0, 99, size=8)
+        kept = doubles.copy(), ints.copy()
+        rng.uniform(size=3 * BLOCK_DOUBLES)  # two refills
+        for _ in range(BLOCK_DOUBLES):
+            rng.random()
+        assert np.array_equal(doubles, kept[0])
+        assert np.array_equal(ints, kept[1])
+
+    def test_writing_a_served_array_leaves_later_draws_alone(self):
+        a, b = Rng(22), Rng(22)
+        a.uniform(size=8)[:] = -1.0
+        a.integers(0, 99, size=8)[:] = -1
+        b.uniform(size=8)
+        b.integers(0, 99, size=8)
+        assert [a.random() for _ in range(100)] \
+            == [b.random() for _ in range(100)]
+
+    def test_normal_and_bytes_read_the_generator_itself(self):
+        # before any uniform-family draw they see the stream unchanged, so
+        # the consensus and pos-demo draws keep their values
+        rng = Rng(2)
+        gen = np.random.Generator(np.random.PCG64(2))
+        assert np.array_equal(rng.normal(1.5, 8), gen.normal(0.0, 1.5, 8))
+        assert rng.bytes(16) == gen.bytes(16)
+        assert rng.normal() == gen.normal()
 
     def test_spawn_is_deterministic_and_independent(self):
         a, b = Rng(9).spawn(0), Rng(9).spawn(0)

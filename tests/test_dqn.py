@@ -334,6 +334,17 @@ class TestReplayBuffer:
             assert np.array_equal(row[:3], stored[reward][0])
             assert np.array_equal(next_row[:3], stored[reward][1])
 
+    def test_sampled_indices_stay_below_len_while_filling_and_wrapped(self):
+        # the index is floor(u * len): one at len or above would read a row
+        # never pushed (reward 0.0) while filling, or raise once wrapped
+        buffer = ReplayBuffer(6, obs_size=2)
+        rng = Rng(4)
+        for i in range(1, 16):  # fills, then wraps the ring twice
+            buffer.push(np.zeros(2), 0, float(i), np.zeros(2), False)
+            _, _, rewards, _, _ = buffer.sample(500, rng)
+            assert set(rewards) == {float(j) for j in range(max(1, i - 5),
+                                                            i + 1)}
+
     def test_snapshot_rows_have_the_observation_width(self):
         buffer = ReplayBuffer(5, obs_size=3)
         for i in range(7):
