@@ -9,12 +9,13 @@ from one after, and compare the lines:
 It imports semshard from the src/ beside this script, so each checkout
 digests its own code, and writes only into a temporary directory. Covered:
 `train` (30 epochs, seed 3) run twice, a small `sweep` run serially and on
-two workers, `pos-demo` (7 verifiers, seed 2) under each mechanism, and
-`eval-throughput` on its defaults. One line per output: what ran, the file
-(or stdout), and the first 16 hex digits of its SHA-256. The two `train`
-runs, and the two `sweep` runs, must print equal digests: within one
-checkout that shows determinism, also when the outputs moved on purpose. A
-run takes a few seconds.
+two workers and then serially again into the serial run's directory, so
+every cell is reused, `pos-demo` (7 verifiers, seed 2) under each
+mechanism, and `eval-throughput` on its defaults. One line per output: what
+ran, the file (or stdout), and the first 16 hex digits of its SHA-256. The
+two `train` runs, and the three `sweep` runs, must print equal digests:
+within one checkout that shows determinism and a byte-identical resume,
+also when the outputs moved on purpose. A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ def main() -> int:
                 show(f"train --seed 3, run {run_no}", name,
                      (out / name).read_bytes())
 
-        for workers in ("1", "2"):
+        # the third run resumes the first in its directory: every cell reused
+        for workers, what in (("1", "1"), ("2", "2"), ("1", "1, resumed")):
             out = tmp / f"sweep-{workers}"
             run(["sweep", str(tmp / "sweep.cfg"), "--grid", SWEEP_GRID,
                  "--workers", workers, "--out", str(out)])
-            show(f"sweep --workers {workers}", "sweep.csv",
+            show(f"sweep --workers {what}", "sweep.csv",
                  (out / "sweep.csv").read_bytes())
 
         for mechanism in ("offchain", "interactive", "commitment"):

@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -110,15 +111,36 @@ def cmd_train(args) -> int:
         cfg = RunConfig(network=replace(cfg.network, seed=args.seed),
                         agent=cfg.agent)
     out = _prepare_out(args.out)
-    env = ShardEnv(cfg.network)
-    net, rows = train(env, cfg.agent, Rng(cfg.network.seed))
-    with open(out / "rewards.csv", "w") as fh:
-        write_training_csv(rows, fh)
-    save_network(net, out / "network.bin")
-    write_manifest(out / "manifest.json", cfg, ["rewards.csv", "network.bin"])
+    _write_run(cfg, out, "adaptive")
     print(f"trained {cfg.agent.epochs} epochs, seed {cfg.network.seed}, "
           f"config {config_hash(cfg)[:12]} -> {out}")
     return 0
+
+
+@contextlib.contextmanager
+def _manifest_last(out: Path, cfg: RunConfig, outputs: list[str]):
+    """Delete out's manifest, run the block that writes the outputs, then
+    write their manifest: a cut-off run leaves none for another config."""
+    (out / "manifest.json").unlink(missing_ok=True)
+    yield
+    write_manifest(out / "manifest.json", cfg, outputs)
+
+
+def _write_run(cfg: RunConfig, out: Path, policy: str) -> None:
+    """Run one policy on Rng(cfg.network.seed) and write it into out:
+    network.bin (adaptive only), rewards.csv, and the manifest last."""
+    adaptive = policy == "adaptive"
+    outputs = ["rewards.csv", "network.bin"] if adaptive else ["rewards.csv"]
+    with _manifest_last(out, cfg, outputs):
+        rng = Rng(cfg.network.seed)
+        if adaptive:
+            net, rows = train(ShardEnv(cfg.network), cfg.agent, rng)
+            save_network(net, out / "network.bin")
+        else:
+            means = run_baseline(cfg.network, cfg.agent.epochs, rng)
+            rows = [TrainRow(i, m, 0.0, 0.0) for i, m in enumerate(means)]
+        with open(out / "rewards.csv", "w") as fh:
+            write_training_csv(rows, fh)
 
 
 def run_sweep_cell(cfg: RunConfig, out_dir: str,
@@ -134,26 +156,10 @@ def run_sweep_cell(cfg: RunConfig, out_dir: str,
     cell = (Path(out_dir) / "cells"
             / f"n{net.nodes_initial}_r{net.rate_max}_s{net.seed}_{policy}")
     rewards_path = cell / "rewards.csv"
-    manifest_path = cell / "manifest.json"
     if not (rewards_path.exists()
-            and _stored_hash(manifest_path) == config_hash(cfg)):
+            and _stored_hash(cell / "manifest.json") == config_hash(cfg)):
         cell.mkdir(parents=True, exist_ok=True)
-        # the old manifest goes before any output is rewritten, so a run cut
-        # off before the new one is written leaves no hash to vouch for rows
-        # of another config
-        manifest_path.unlink(missing_ok=True)
-        rng = Rng(net.seed)
-        if policy == "adaptive":
-            q_net, rows = train(ShardEnv(net), cfg.agent, rng)
-            save_network(q_net, cell / "network.bin")
-            outputs = ["rewards.csv", "network.bin"]
-        else:
-            means = run_baseline(net, cfg.agent.epochs, rng)
-            rows = [TrainRow(i, m, 0.0, 0.0) for i, m in enumerate(means)]
-            outputs = ["rewards.csv"]
-        with open(rewards_path, "w") as fh:
-            write_training_csv(rows, fh)
-        write_manifest(manifest_path, cfg, outputs)
+        _write_run(cfg, cell, policy)
     return _read_reward_rows(rewards_path)
 
 
@@ -198,24 +204,23 @@ def cmd_sweep(args) -> int:
             for cfg in cells for policy in ("adaptive", "baseline")]
     # the pool starts all its workers at once, so no more than there are jobs
     workers = min(args.workers, len(jobs))
-    if workers > 1:
-        # imported here: the pool stack (multiprocessing, socket, subprocess,
-        # logging) costs every other run 10-20 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_worker, jobs))
-    else:
-        results = [_cell_worker(job) for job in jobs]
-
-    with open(out / "sweep.csv", "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER.split(","))
-        for (cfg, _, policy), rows in zip(jobs, results):
-            net = cfg.network
-            for epoch, mean_reward in rows:
-                writer.writerow([net.nodes_initial, net.rate_max, net.seed,
-                                 policy, epoch, repr(mean_reward)])
-    write_manifest(out / "manifest.json", base, ["sweep.csv"])
+    with _manifest_last(out, base, ["sweep.csv"]):
+        if workers > 1:
+            # imported here: the pool stack (multiprocessing, socket,
+            # subprocess, logging) costs every other run 10-20 ms of start-up
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_cell_worker, jobs))
+        else:
+            results = [_cell_worker(job) for job in jobs]
+        with open(out / "sweep.csv", "w") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(SWEEP_CSV_HEADER.split(","))
+            for (cfg, _, policy), rows in zip(jobs, results):
+                net = cfg.network
+                for epoch, mean_reward in rows:
+                    writer.writerow([net.nodes_initial, net.rate_max, net.seed,
+                                     policy, epoch, repr(mean_reward)])
     print(f"sweep complete: {len(jobs)} cells -> {out / 'sweep.csv'}")
     return 0
 

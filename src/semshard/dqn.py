@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -58,11 +57,9 @@ class Hyperparameters:
             raise ConfigError("agent.buffer_capacity: must be >= batch_size")
 
 
-def _param_shapes(input_size: int, hidden_size: int,
-                  output_size: int) -> tuple:
-    """(name, shape) of each parameter, in theta's and network.bin's order."""
-    return (("w1", (input_size, hidden_size)), ("b1", (hidden_size,)),
-            ("w2", (hidden_size, output_size)), ("b2", (output_size,)))
+def _theta_size(input_size: int, hidden_size: int, output_size: int) -> int:
+    """Length of theta: QNetwork.blocks' [w1; b1], w2 and b2, end to end."""
+    return (input_size + 1 + output_size) * hidden_size + output_size
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -86,10 +83,10 @@ def _param(name: str) -> property:
     """A parameter as a view of QNetwork.theta; assignment copies into it."""
 
     def get(net: "QNetwork") -> np.ndarray:
-        return net._params[name]
+        return getattr(net, "_" + name)
 
     def set_(net: "QNetwork", value) -> None:
-        view = net._params[name]
+        view = getattr(net, "_" + name)
         value = np.asarray(value, dtype=float)
         if value.shape != view.shape:
             raise ValueError(f"{name}: shape {value.shape} != {view.shape}")
@@ -123,15 +120,10 @@ class QNetwork:
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.output_size = output_size
-        self._layout, size = [], 0
-        for name, shape in _param_shapes(input_size, hidden_size, output_size):
-            self._layout.append(
-                (name, slice(size, size + math.prod(shape)), shape))
-            size += math.prod(shape)
-        self.theta = np.zeros(size)
-        self._params = self.named(self.theta)
+        self.theta = np.zeros(_theta_size(input_size, hidden_size,
+                                          output_size))
         # the views the properties return, read without the property call
-        self._w1, self._b1, self._w2, self._b2 = self._params.values()
+        self._w1, self._b1, self._w2, self._b2 = self.named(self.theta).values()
         self.w1b1 = self.blocks(self.theta)[0]
         if rng is not None:
             bound1 = 1.0 / np.sqrt(input_size)
@@ -141,15 +133,16 @@ class QNetwork:
 
     def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Views of a vector laid out as theta, by parameter name."""
-        return {name: flat[part].reshape(shape)
-                for name, part, shape in self._layout}
+        w1b1, w2, b2 = self.blocks(flat)
+        return {"w1": w1b1[:-1], "b1": w1b1[-1], "w2": w2, "b2": b2}
 
     def blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of the [w1; b1], w2 and b2 blocks of a vector laid out as
-        theta: the three blocks a batch gradient fills."""
-        _, _, (_, w2, w2_shape), (_, b2, _) = self._layout
-        head = flat[:w2.start].reshape(self.input_size + 1, self.hidden_size)
-        return head, flat[w2].reshape(w2_shape), flat[b2]
+        theta: the blocks a batch gradient fills, and every view's source."""
+        i, h, o = self.input_size, self.hidden_size, self.output_size
+        w2_start, b2_start = (i + 1) * h, (i + 1 + o) * h
+        return (flat[:w2_start].reshape(i + 1, h),
+                flat[w2_start:b2_start].reshape(h, o), flat[b2_start:])
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Q-values for one observation (in,) or a batch (B, in)."""
@@ -184,7 +177,7 @@ class QNetwork:
         return self._q(self._hidden(x))
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return dict(self._params)
+        return self.named(self.theta)
 
     def clone(self) -> "QNetwork":
         other = QNetwork(self.input_size, self.hidden_size, self.output_size)
@@ -420,7 +413,7 @@ def load_network(path) -> QNetwork:
         sizes = struct.unpack("<III", dims)
         if 0 in sizes:
             raise ValueError(f"network file header has a zero dimension: {sizes}")
-        needed = 8 * sum(math.prod(shape) for _, shape in _param_shapes(*sizes))
+        needed = 8 * _theta_size(*sizes)
         body = os.fstat(fh.fileno()).st_size - len(header)
         if body < needed:
             raise ValueError("truncated network file")

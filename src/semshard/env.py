@@ -177,7 +177,7 @@ class ShardEnv:
             # without its extra call
             rate = cfg.rate_min + (cfg.rate_max - cfg.rate_min) * rng.random()
             t_sem = cfg.semantic_time_max * rng.random()
-            walk = int(rng.integers(-cfg.node_walk_step, cfg.node_walk_step))
+            walk = rng.integers(-cfg.node_walk_step, cfg.node_walk_step)
             self._n = min(max(self._n + walk, cfg.nodes_min), cfg.nodes_max)
             # node churn can strand the shard count above the valid range
             self._k, self._s, _ = clamp_sharding(self._k, self._s, self._n, cfg)

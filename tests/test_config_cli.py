@@ -252,6 +252,32 @@ class TestCmdTrain:
         assert "network.node_walk_step" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_rerun_cut_off_before_its_manifest_leaves_none(self, tmp_path,
+                                                           monkeypatch):
+        out = tmp_path / "run"
+
+        def train(epochs):
+            cfg_path = tmp_path / f"epochs{epochs}.cfg"
+            cfg_path.write_text(SMALL_CFG.replace("epochs = 4",
+                                                  f"epochs = {epochs}"))
+            return cli.main(["train", str(cfg_path), "--out", str(out)])
+
+        class Cut(Exception):
+            pass
+
+        def cut(*args):
+            raise Cut
+
+        assert train(2) == 0
+        # a run under another config dies after its outputs, before the
+        # manifest that would describe them
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "write_manifest", cut)
+            with pytest.raises(Cut):
+                train(3)
+        assert len((out / "rewards.csv").read_text().splitlines()) == 1 + 3
+        assert not (out / "manifest.json").exists()
+
     def test_unwritable_out_exits_3(self, small_cfg_path, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -361,6 +387,37 @@ class TestCmdSweep:
         assert sweep(2, fresh) == 0
         assert (resumed / "sweep.csv").read_bytes() \
             == (fresh / "sweep.csv").read_bytes()
+
+    def test_rerun_cut_off_before_its_manifest_leaves_none(self, tmp_path,
+                                                           monkeypatch):
+        out = tmp_path / "sweep"
+        write_manifest = cli.write_manifest
+
+        def sweep(epochs):
+            cfg_path = tmp_path / f"epochs{epochs}.cfg"
+            cfg_path.write_text(SMALL_CFG.replace("epochs = 4",
+                                                  f"epochs = {epochs}"))
+            return cli.main(["sweep", str(cfg_path), "--out", str(out),
+                             "--grid", "nodes=60;rates=60;seeds=3",
+                             "--workers", "1"])
+
+        class Cut(Exception):
+            pass
+
+        def cut_top_level(path, *args):
+            # the cells finish; the sweep dies after sweep.csv, before the
+            # manifest that would describe it
+            if Path(path).parent == out:
+                raise Cut
+            write_manifest(path, *args)
+
+        assert sweep(2) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "write_manifest", cut_top_level)
+            with pytest.raises(Cut):
+                sweep(3)
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 2 * 3
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("grid, key", [
         ("nodes=60,700;rates=60;seeds=3", "network.nodes_initial"),

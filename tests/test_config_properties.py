@@ -4,10 +4,11 @@ and a gradient step as soon as the replay buffer holds a batch."""
 import math
 from typing import get_type_hints
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semshard.core import ConfigError, NetworkConfig, Rng
+from semshard.core import MAX_INTEGER_SPAN, ConfigError, NetworkConfig, Rng
 from semshard.dqn import Hyperparameters, QNetwork, ReplayBuffer, train_step
 from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
 
@@ -39,6 +40,18 @@ def construct(draw, cls, kwargs):
     return cls(**kwargs)
 
 
+def walk_step(draw) -> int:
+    """A drawn walk step. One whose span exceeds what Rng.integers serves
+    must be rejected naming the key; the example then goes on with a small
+    step, so the rejection costs no example, as in construct."""
+    step = draw(walk_steps)
+    if 2 * step + 1 <= MAX_INTEGER_SPAN:
+        return step
+    with pytest.raises(ConfigError, match="network.node_walk_step"):
+        NetworkConfig(node_walk_step=step)
+    return draw(st.integers(1, 50))
+
+
 @st.composite
 def network_configs(draw):
     nodes_max = draw(st.integers(1, 600))
@@ -48,7 +61,7 @@ def network_configs(draw):
         return construct(draw, NetworkConfig, dict(
             nodes_min=min(draw(node_counts), nodes_max),
             nodes_initial=min(draw(node_counts), nodes_max),
-            nodes_max=nodes_max, node_walk_step=draw(walk_steps),
+            nodes_max=nodes_max, node_walk_step=walk_step(draw),
             min_shard_size=draw(st.integers(4, 10)),
             rounds_per_episode=draw(st.integers(1, 10)),
             tx_size=draw(st.integers(1_000, 8_000)),

@@ -288,6 +288,50 @@ class TestFlatParameters:
             setattr(net, name, np.ones(shape))
         assert np.array_equal(net.theta, before)
 
+    @pytest.mark.parametrize("dims", [(OBS, 16, 5), (1, 1, 1), (3, 7, 2)])
+    def test_views_sit_at_network_bin_offsets(self, dims):
+        i, h, o = dims
+        net = QNetwork(i, h, o)
+        net.theta[:] = np.arange(net.theta.size)
+        # network.bin's body: w1, b1, w2, b2, each row-major
+        b1_at, w2_at, b2_at = i * h, (i + 1) * h, (i + 1 + o) * h
+        assert net.theta.size == b2_at + o
+        want = {"w1": np.arange(b1_at).reshape(i, h),
+                "b1": np.arange(b1_at, w2_at),
+                "w2": np.arange(w2_at, b2_at).reshape(h, o),
+                "b2": np.arange(b2_at, b2_at + o)}
+        sources = {"property": {k: getattr(net, k) for k in want},
+                   "plain": {k: getattr(net, "_" + k) for k in want},
+                   "parameters": net.parameters(),
+                   "named": net.named(net.theta)}
+        for source, views in sources.items():
+            assert list(views) == list(want), source
+            for k, view in views.items():
+                assert view.shape == want[k].shape, (source, k)
+                assert np.array_equal(view, want[k]), (source, k)
+                assert np.shares_memory(view, net.theta), (source, k)
+        blocks = net.blocks(net.theta)
+        block_want = (np.arange(w2_at).reshape(i + 1, h), want["w2"],
+                      want["b2"])
+        for view, expected in zip((net.w1b1, *blocks),
+                                  (block_want[0], *block_want)):
+            assert view.shape == expected.shape
+            assert np.array_equal(view, expected)
+            assert np.shares_memory(view, net.theta)
+
+    @pytest.mark.parametrize("dims", [(OBS, 16, 5), (1, 1, 1), (3, 7, 2)])
+    def test_network_bin_body_is_theta_to_the_byte(self, tmp_path, dims):
+        size = QNetwork(*dims).theta.size
+        head = dqn.NETWORK_MAGIC + struct.pack("<III", *dims)
+        path = tmp_path / "net.bin"
+        path.write_bytes(head + np.arange(size, dtype="<f8").tobytes())
+        assert np.array_equal(load_network(path).theta, np.arange(size))
+        for body, error in ((8 * size - 1, "truncated"),
+                            (8 * size + 1, "trailing")):
+            path.write_bytes(head + b"\0" * body)
+            with pytest.raises(ValueError, match=error):
+                load_network(path)
+
     def test_step_after_sync_leaves_target_theta(self):
         hp = Hyperparameters(batch_size=4)
         rng = Rng(4)
