@@ -8,14 +8,15 @@ from one after, and compare the lines:
 
 It imports semshard from the src/ beside this script, so each checkout
 digests its own code, and writes only into a temporary directory. Covered:
-`train` (30 epochs, seed 3) run twice, a small `sweep` run serially and on
-two workers and then serially again into the serial run's directory, so
-every cell is reused, `pos-demo` (7 verifiers, seed 2) under each
-mechanism, and `eval-throughput` on its defaults. One line per output: what
-ran, the file (or stdout), and the first 16 hex digits of its SHA-256. The
-two `train` runs, and the three `sweep` runs, must print equal digests:
-within one checkout that shows determinism and a byte-identical resume,
-also when the outputs moved on purpose. A run takes a few seconds.
+`train` (30 epochs, seed 3) run twice, the same `train` with a 500-row
+replay ring, which its 3,000 pushes wrap six times, a small `sweep` run
+serially and on two workers and then serially again into the serial run's
+directory, so every cell is reused, `pos-demo` (7 verifiers, seed 2) under
+each mechanism, and `eval-throughput` on its defaults. One line per output:
+what ran, the file (or stdout), and the first 16 hex digits of its SHA-256.
+The two plain `train` runs, and the three `sweep` runs, must print equal
+digests: within one checkout that shows determinism and a byte-identical
+resume, also when the outputs moved on purpose. A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from semshard import cli  # noqa: E402
 
 TRAIN_CFG = "[agent]\nepochs = 30\n"
+RING_CFG = TRAIN_CFG + "buffer_capacity = 500\n"
 SWEEP_CFG = "[agent]\nepochs = 6\nepsilon_decay = true\n"
 SWEEP_GRID = "nodes=100,500;rates=60,100;seeds=1,2"
 
@@ -54,14 +56,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="semshard-digests-") as tmp:
         tmp = Path(tmp)
         (tmp / "train.cfg").write_text(TRAIN_CFG)
+        (tmp / "ring.cfg").write_text(RING_CFG)
         (tmp / "sweep.cfg").write_text(SWEEP_CFG)
 
-        for run_no in ("1", "2"):
-            out = tmp / f"train-{run_no}"
-            run(["train", str(tmp / "train.cfg"), "--seed", "3",
+        for cfg, what in (("train", "run 1"), ("train", "run 2"),
+                          ("ring", "ring 500")):
+            out = tmp / what.replace(" ", "-")
+            run(["train", str(tmp / f"{cfg}.cfg"), "--seed", "3",
                  "--out", str(out)])
             for name in ("rewards.csv", "network.bin"):
-                show(f"train --seed 3, run {run_no}", name,
+                show(f"train --seed 3, {what}", name,
                      (out / name).read_bytes())
 
         # the third run resumes the first in its directory: every cell reused

@@ -5,6 +5,15 @@ exploration, TD targets from a periodically synchronized target network, and
 plain stochastic gradient descent. No autograd: the backward pass is written
 out (and checked against finite differences in the tests).
 
+The learner step is fused. The estimation network and its target are rows 0
+and 1 of one (2, P) array, a QPair, and the replay buffer keeps each
+transition's obs and next_obs as rows 0 and 1 of one (2, capacity, in + 1)
+array. So a sampled batch is one stack, and one stacked matmul per layer,
+with one ReLU and one bias add, runs the estimation network on obs and the
+target on next_obs. numpy runs the same gemm on each slice of a stack as on
+that slice alone, so the bits are those of two separate passes. The pair
+also holds the gradient vector and its block views, built once.
+
 Training batches carry the hidden layer's bias input: every observation row
 the replay buffer stores ends in a constant 1.0. Against the stacked
 [w1; b1] matrix such a row gives x @ w1 + b1 in one matmul, and the backward
@@ -58,7 +67,7 @@ class Hyperparameters:
 
 
 def _theta_size(input_size: int, hidden_size: int, output_size: int) -> int:
-    """Length of theta: QNetwork.blocks' [w1; b1], w2 and b2, end to end."""
+    """Length of theta: QPair.blocks' [w1; b1], w2 and b2, end to end."""
     return (input_size + 1 + output_size) * hidden_size + output_size
 
 
@@ -95,18 +104,60 @@ def _param(name: str) -> property:
     return property(get, set_)
 
 
+class QPair:
+    """An estimation network and its target as rows 0 and 1 of one (2, P)
+    float64 array, params, each row laid out as QNetwork.theta.
+
+    Built once with it: the stacked [w1; b1], w2 and b2 views of both rows,
+    which the fused forward reads, and the gradient vector with its block
+    views, which the learner step fills.
+    """
+
+    def __init__(self, input_size: int, hidden_size: int, output_size: int):
+        self.sizes = (input_size, hidden_size, output_size)
+        self.params = np.zeros((2, _theta_size(*self.sizes)))
+        self.w1b1, self.w2, b2 = self.blocks(self.params)
+        self.b2 = b2[:, np.newaxis]  # (2, 1, out): broadcast over the batch
+        self.grad = np.empty(self.params.shape[1])
+        self.grad_blocks = self.blocks(self.grad)
+
+    def blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of the [w1; b1], w2 and b2 blocks of an array laid out as
+        theta along its last axis (theta, a gradient, or params): the blocks
+        a batch gradient fills, and every parameter view's source."""
+        i, h, o = self.sizes
+        w2_start, b2_start = (i + 1) * h, (i + 1 + o) * h
+        lead = flat.shape[:-1]
+        return (flat[..., :w2_start].reshape(lead + (i + 1, h)),
+                flat[..., w2_start:b2_start].reshape(lead + (h, o)),
+                flat[..., b2_start:])
+
+    def forward(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden layers (2, B, hidden) and Q-values (2, B, out) of both
+        networks: rows[r], B replay rows each ending in the bias input 1.0,
+        through the network on row r."""
+        hidden = np.matmul(rows, self.w1b1)
+        # the same elementwise max as against 0.0; numpy's array-array loop
+        # runs faster than its array-scalar one
+        np.maximum(hidden, _zeros(hidden.shape), out=hidden)
+        q = np.matmul(hidden, self.w2)
+        q += self.b2
+        return hidden, q
+
+
 class QNetwork:
     """Linear -> ReLU -> linear; five action values out, no output activation.
 
     All parameters live in one flat float64 vector, theta: w1, b1, w2, b2,
-    each row-major, which is exactly the network.bin body. The four names
-    are views of theta, and so are the plain attributes _w1, _b1, _w2 and
-    _b2 that the passes read: assignment copies into the views, so neither
-    form goes stale. Since b1 directly follows w1, theta's head is also
-    the stacked (in + 1, hidden) matrix [w1; b1], the view w1b1: a batch row
-    ending in 1.0 times w1b1 is x @ w1 + b1. Weights initialize from
-    Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)], biases from zero. Without an
-    rng all parameters start at zero.
+    each row-major, which is exactly the network.bin body. theta is one row
+    of a QPair, pair: a new network is row 0, and its clone(), the target,
+    is row 1. The four names are views of theta, and so are the plain
+    attributes _w1, _b1, _w2 and _b2 that the single-observation pass reads:
+    assignment copies into the views, so neither form goes stale. Since b1
+    directly follows w1, theta's head is also the stacked (in + 1, hidden)
+    matrix [w1; b1]: a batch row ending in 1.0 times it is x @ w1 + b1.
+    Weights initialize from Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)],
+    biases from zero. Without an rng all parameters start at zero.
     """
 
     w1 = _param("w1")
@@ -117,32 +168,24 @@ class QNetwork:
     def __init__(self, input_size: int = OBSERVATION_SIZE,
                  hidden_size: int = 128, output_size: int = NUM_ACTIONS,
                  rng: Optional[Rng] = None):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.output_size = output_size
-        self.theta = np.zeros(_theta_size(input_size, hidden_size,
-                                          output_size))
-        # the views the properties return, read without the property call
-        self._w1, self._b1, self._w2, self._b2 = self.named(self.theta).values()
-        self.w1b1 = self.blocks(self.theta)[0]
+        self._bind(QPair(input_size, hidden_size, output_size), 0)
         if rng is not None:
             bound1 = 1.0 / np.sqrt(input_size)
             bound2 = 1.0 / np.sqrt(hidden_size)
             self.w1 = rng.uniform(-bound1, bound1, (input_size, hidden_size))
             self.w2 = rng.uniform(-bound2, bound2, (hidden_size, output_size))
 
+    def _bind(self, pair: QPair, row: int) -> None:
+        self.pair, self.row = pair, row
+        self.input_size, self.hidden_size, self.output_size = pair.sizes
+        self.theta = pair.params[row]
+        # the views the properties return, read without the property call
+        self._w1, self._b1, self._w2, self._b2 = self.named(self.theta).values()
+
     def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Views of a vector laid out as theta, by parameter name."""
-        w1b1, w2, b2 = self.blocks(flat)
+        w1b1, w2, b2 = self.pair.blocks(flat)
         return {"w1": w1b1[:-1], "b1": w1b1[-1], "w2": w2, "b2": b2}
-
-    def blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views of the [w1; b1], w2 and b2 blocks of a vector laid out as
-        theta: the blocks a batch gradient fills, and every view's source."""
-        i, h, o = self.input_size, self.hidden_size, self.output_size
-        w2_start, b2_start = (i + 1) * h, (i + 1 + o) * h
-        return (flat[:w2_start].reshape(i + 1, h),
-                flat[w2_start:b2_start].reshape(h, o), flat[b2_start:])
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Q-values for one observation (in,) or a batch (B, in)."""
@@ -152,37 +195,30 @@ class QNetwork:
                 f"observation size {x.shape[-1]} != {self.input_size}")
         return self._forward(x)
 
-    # The private forms skip forward()'s input check. They add the biases
-    # and take the ReLU in place: the same arithmetic as
-    # max(x @ w1 + b1, 0), without a second temporary. ndarray.dot runs the
-    # same BLAS call as @ at a lower dispatch cost.
-    def _hidden(self, x: np.ndarray) -> np.ndarray:
+    # _forward skips forward()'s input check. It adds the biases and takes
+    # the ReLU in place: the same arithmetic as max(x @ w1 + b1, 0), without
+    # a second temporary. ndarray.dot runs the same BLAS call as @ at a lower
+    # dispatch cost.
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         hidden = x.dot(self._w1)
         hidden += self._b1
-        return np.maximum(hidden, 0.0, out=hidden)
-
-    def _batch_hidden(self, rows: np.ndarray) -> np.ndarray:
-        """Hidden layer of replay rows (B, in + 1), each ending in 1.0."""
-        hidden = rows @ self.w1b1
-        # the same elementwise max as against 0.0; numpy's array-array loop
-        # runs faster than its array-scalar one
-        return np.maximum(hidden, _zeros(hidden.shape), out=hidden)
-
-    def _q(self, hidden: np.ndarray) -> np.ndarray:
+        np.maximum(hidden, 0.0, out=hidden)
         q = hidden.dot(self._w2)
         q += self._b2
         return q
-
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        return self._q(self._hidden(x))
 
     def parameters(self) -> dict[str, np.ndarray]:
         return self.named(self.theta)
 
     def clone(self) -> "QNetwork":
-        other = QNetwork(self.input_size, self.hidden_size, self.output_size)
-        sync_target(self, other)
-        return other
+        """The target network: row 1 of this network's pair, set to a
+        bitwise copy of row 0. Only a row-0 network has one."""
+        if self.row != 0:
+            raise ValueError("clone() of a target network: it has no row 1")
+        target = QNetwork.__new__(QNetwork)
+        target._bind(self.pair, 1)
+        sync_target(self, target)
+        return target
 
 
 def sync_target(est_net: QNetwork, target_net: QNetwork) -> None:
@@ -193,19 +229,23 @@ def sync_target(est_net: QNetwork, target_net: QNetwork) -> None:
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with strict FIFO eviction.
 
-    Each stored obs and next_obs row is the observation followed by a
-    constant 1.0, the bias input of QNetwork.w1b1, so a sampled batch feeds
-    the batch forward as it comes, with no column appended per step. push
-    writes the 1.0 with its row: rows never pushed stay untouched zero pages.
+    obs and next_obs are rows 0 and 1 of one (2, capacity, in + 1) array, so
+    one take samples both, stacked as QPair.forward runs them. Each stored
+    row is the observation followed by a constant 1.0, the bias input of
+    [w1; b1], so a sampled batch feeds the forward as it comes, with no
+    column appended per step. push writes the 1.0 with its row: rows never
+    pushed stay untouched zero pages.
     """
 
     def __init__(self, capacity: int = 10_000,
                  obs_size: int = OBSERVATION_SIZE):
         self.capacity = capacity
-        self._obs = np.zeros((capacity, obs_size + 1))
+        self._rows = np.zeros((2, capacity, obs_size + 1))
+        # push writes through plain views of the two rows: 2-D indexing
+        # costs less than 3-D
+        self._obs, self._next_obs = self._rows
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity)
-        self._next_obs = np.zeros((capacity, obs_size + 1))
         self._terminals = np.zeros(capacity, dtype=bool)
         self._cursor = 0
         self._size = 0
@@ -227,12 +267,12 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: Rng):
-        """Uniform sample with replacement: (obs, actions, rewards, next_obs,
-        terminals), with obs and next_obs rows ending in the bias input 1.0."""
+        """Uniform sample with replacement: (rows, actions, rewards,
+        terminals), where rows[0] holds the obs and rows[1] the next_obs, each
+        row ending in the bias input 1.0."""
         idx = rng.integers(0, self._size - 1, size=batch_size)
-        return (self._obs.take(idx, axis=0), self._actions[idx],
-                self._rewards[idx], self._next_obs.take(idx, axis=0),
-                self._terminals[idx])
+        return (self._rows.take(idx, axis=1), self._actions[idx],
+                self._rewards[idx], self._terminals[idx])
 
     def snapshot(self) -> list[tuple]:
         """Stored (obs, action, reward, next_obs, terminal) rows, oldest
@@ -258,32 +298,41 @@ def act(net: QNetwork, obs: np.ndarray, epsilon: float, rng: Rng) -> Action:
     return _ACTIONS[net._forward(obs).argmax()]
 
 
-def td_targets(batch, target_net: QNetwork, discount: float) -> np.ndarray:
+def td_targets(batch, target_net: QNetwork, discount: float):
     """y = r + discount * max_a Q_target(s', a); y = r on terminal transitions.
 
-    batch is the (obs, actions, rewards, next_obs, terminals) bundle from
-    ReplayBuffer.sample(), next_obs rows ending in the bias input 1.0.
+    batch is ReplayBuffer.sample()'s (rows, actions, rewards, terminals).
+    target_net is row 1 of its QPair, and the pair's one stacked forward
+    also runs the estimation network, row 0, on the batch's obs. Returns the
+    targets and that forward's row 0, (hidden, q), as loss_and_gradients
+    takes it.
     """
-    _, _, rewards, next_obs, terminals = batch
-    q = target_net._q(target_net._batch_hidden(next_obs))
+    if target_net.row != 1:
+        raise ValueError("td_targets: target_net must be a clone(), row 1")
+    rows, _, rewards, terminals = batch
+    hidden, q = target_net.pair.forward(rows)
     # max is exact, so reducing down the contiguous transpose equals
     # q.max(axis=1) at a lower call cost
-    targets = np.maximum.reduce(np.ascontiguousarray(q.T), axis=0)
+    targets = np.maximum.reduce(np.ascontiguousarray(q[1].T), axis=0)
     # rewards + discount * best * ~terminals, in that order, in place
     targets *= discount
     targets *= ~terminals
     targets += rewards
-    return targets
+    return targets, (hidden[0], q[0])
 
 
 def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
-                       targets: np.ndarray):
-    """Mean squared TD error on the taken actions, and its analytic gradient
-    as one vector laid out as net.theta. obs rows end in the bias input 1.0,
-    as ReplayBuffer.sample() returns them."""
+                       targets: np.ndarray, forward, grad_blocks) -> float:
+    """Mean squared TD error on the taken actions; its analytic gradient
+    goes into grad_blocks.
+
+    obs rows end in the bias input 1.0, as ReplayBuffer.sample() returns
+    them, and forward is net's (hidden, q) on them. grad_blocks are the
+    QPair.blocks() views of a vector laid out as net.theta, which the
+    caller owns: every entry is overwritten.
+    """
+    hidden, q = forward
     batch = obs.shape[0]
-    hidden = net._batch_hidden(obs)
-    q = net._q(hidden)
     rows = _row_index(batch)
     err = q[rows, actions] - targets
     # np.mean(err ** 2) is this sum divided by the count: the same bits
@@ -291,8 +340,7 @@ def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
 
     dq = np.zeros(q.shape)
     dq[rows, actions] = 2.0 * err / batch
-    grad = np.empty_like(net.theta)
-    w1b1_grad, w2_grad, b2_grad = net.blocks(grad)
+    w1b1_grad, w2_grad, b2_grad = grad_blocks
     # np.dot, not np.matmul: the same gemm at a lower dispatch cost
     np.dot(hidden.T, dq, out=w2_grad)
     np.add.reduce(dq, axis=0, out=b2_grad)
@@ -302,17 +350,24 @@ def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
     # the bias column makes the last row of this product dz1's column sum,
     # b1's gradient, which lands where theta holds b1
     np.dot(obs.T, dz1, out=w1b1_grad)
-    return loss, grad
+    return loss
 
 
 def train_step(est_net: QNetwork, target_net: QNetwork, buffer: ReplayBuffer,
                hp: Hyperparameters, rng: Rng) -> Optional[float]:
-    """One SGD step on a sampled minibatch; None while the buffer is underfull."""
+    """One SGD step on a sampled minibatch; None while the buffer is
+    underfull. target_net must be est_net.clone(): the step reads both rows
+    of their pair at once."""
+    pair = est_net.pair
+    if target_net.pair is not pair or est_net.row != 0:
+        raise ValueError("train_step: target_net must be est_net.clone()")
     if len(buffer) < hp.batch_size:
         return None
     batch = buffer.sample(hp.batch_size, rng)
-    targets = td_targets(batch, target_net, hp.discount)
-    loss, grad = loss_and_gradients(est_net, batch[0], batch[1], targets)
+    targets, forward = td_targets(batch, target_net, hp.discount)
+    loss = loss_and_gradients(est_net, batch[0][0], batch[1], targets,
+                              forward, pair.grad_blocks)
+    grad = pair.grad
     grad *= hp.learning_rate
     est_net.theta -= grad
     return loss

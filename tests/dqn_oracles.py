@@ -10,6 +10,16 @@ from semshard.dqn import QNetwork, loss_and_gradients
 OBS = 8
 
 
+def loss_and_fresh_gradient(net, obs, actions, targets):
+    """loss_and_gradients for net alone, into a gradient vector of its own;
+    the forward is row 0 of net's stacked pair pass, with obs on both rows."""
+    hidden, q = net.pair.forward(np.stack([obs, obs]))
+    grad = np.empty_like(net.theta)
+    loss = loss_and_gradients(net, obs, actions, targets, (hidden[0], q[0]),
+                              net.pair.blocks(grad))
+    return loss, grad
+
+
 def numeric_gradients(net, obs, actions, targets, h=1e-5):
     """Central finite differences over every parameter."""
     grads = {}
@@ -20,9 +30,9 @@ def numeric_gradients(net, obs, actions, targets, h=1e-5):
             idx = it.multi_index
             original = param[idx]
             param[idx] = original + h
-            up, _ = loss_and_gradients(net, obs, actions, targets)
+            up, _ = loss_and_fresh_gradient(net, obs, actions, targets)
             param[idx] = original - h
-            down, _ = loss_and_gradients(net, obs, actions, targets)
+            down, _ = loss_and_fresh_gradient(net, obs, actions, targets)
             param[idx] = original
             grad[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -42,13 +52,13 @@ def gradient_check_instance(seed, hidden=10, batch=4):
         return None
     actions = rng.integers(0, 4, size=batch)
     targets = rng.uniform(-1.0, 1.0, batch)
-    # loss_and_gradients takes replay rows, which end in the bias input 1.0
+    # the loss takes replay rows, which end in the bias input 1.0
     rows = np.hstack([obs, np.ones((batch, 1))])
     return net, rows, actions, targets
 
 
 def max_relative_gradient_error(net, obs, actions, targets):
-    _, grad = loss_and_gradients(net, obs, actions, targets)
+    _, grad = loss_and_fresh_gradient(net, obs, actions, targets)
     analytic = net.named(grad)
     numeric = numeric_gradients(net, obs, actions, targets)
     worst = 0.0
@@ -99,10 +109,9 @@ def reference_train_step(est, target, buffer, hp, rng):
     """train_step on dict parameters: SGD one array at a time."""
     if len(buffer) < hp.batch_size:
         return None
-    obs, actions, rewards, next_obs, terminals = buffer.sample(
-        hp.batch_size, rng)
+    rows, actions, rewards, terminals = buffer.sample(hp.batch_size, rng)
     # the plain observations, without the replay rows' bias input
-    batch = (obs[:, :-1], actions, rewards, next_obs[:, :-1], terminals)
+    batch = (rows[0, :, :-1], actions, rewards, rows[1, :, :-1], terminals)
     targets = reference_td_targets(batch, target, hp.discount)
     loss, grads = reference_loss_and_gradients(est, batch[0], batch[1],
                                                targets)

@@ -113,7 +113,10 @@ def test_criterion_4_dqn_correctness():
 
     rng = Rng(50)
     est = QNetwork(8, 16, 5, rng)
-    target = QNetwork(8, 16, 5, rng)
+    # the target is est's twin in their pair; it starts from other weights,
+    # so the sync has something to copy
+    target = est.clone()
+    target.theta[:] = QNetwork(8, 16, 5, rng).theta
     sync_target(est, target)
     sync_ok = all(np.array_equal(v, target.parameters()[k])
                   for k, v in est.parameters().items())

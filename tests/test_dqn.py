@@ -93,29 +93,51 @@ class TestAct:
 
 def zero_obs_bundle(actions, rewards, terminals):
     """A ReplayBuffer.sample()-shaped batch with all-zero observations: each
-    row is OBS zeros and the bias input 1.0."""
+    obs and next_obs row is OBS zeros and the bias input 1.0."""
     n = len(actions)
-    rows = np.hstack([np.zeros((n, OBS)), np.ones((n, 1))])
+    rows = np.zeros((2, n, OBS + 1))
+    rows[..., -1] = 1.0
     return (rows, np.array(actions, dtype=np.int64),
-            np.array(rewards, dtype=float), rows.copy(),
-            np.array(terminals, dtype=bool))
+            np.array(rewards, dtype=float), np.array(terminals, dtype=bool))
 
 
 class TestTdTargets:
     def test_bootstrap_value(self):
-        target = toy_net([2.0, 0.0, 0.0, 0.0, 0.0])
+        target = toy_net([2.0, 0.0, 0.0, 0.0, 0.0]).clone()
         batch = zero_obs_bundle([0], [1.0], [False])
-        assert td_targets(batch, target, 0.98) == pytest.approx([2.96])
+        assert td_targets(batch, target, 0.98)[0] == pytest.approx([2.96])
 
     def test_terminal_uses_raw_reward(self):
-        target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0])
+        target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0]).clone()
         batch = zero_obs_bundle([0], [0.5], [True])
-        assert td_targets(batch, target, 0.98) == pytest.approx([0.5])
+        assert td_targets(batch, target, 0.98)[0] == pytest.approx([0.5])
 
     def test_zero_discount_degenerates_to_reward(self):
-        target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0])
+        target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0]).clone()
         batch = zero_obs_bundle([0, 1], [0.7, -0.2], [False, True])
-        assert td_targets(batch, target, 0.0) == pytest.approx([0.7, -0.2])
+        assert td_targets(batch, target, 0.0)[0] == pytest.approx([0.7, -0.2])
+
+    def test_one_pass_gives_each_network_its_own_rows(self):
+        # row 0 of the pair runs on obs, row 1 on next_obs; after a step the
+        # rows differ, so a crossed stack would show
+        rng = Rng(6)
+        est = QNetwork(OBS, 16, 5, rng)
+        target = est.clone()
+        est.w2 = rng.uniform(-1, 1, (16, 5))
+        obs, next_obs = random_obs(rng, 3), random_obs(rng, 3)
+        rows = np.ones((2, 3, OBS + 1))
+        rows[0, :, :-1], rows[1, :, :-1] = obs, next_obs
+        batch = (rows, np.array([0, 1, 2]), np.zeros(3),
+                 np.zeros(3, dtype=bool))
+        targets, (hidden, q) = td_targets(batch, target, 0.5)
+        assert np.array_equal(targets,
+                              0.5 * target.forward(next_obs).max(axis=1))
+        assert np.array_equal(q, est.forward(obs))
+        assert np.array_equal(hidden, np.maximum(obs @ est.w1 + est.b1, 0.0))
+
+    def test_row_zero_network_rejected(self):
+        with pytest.raises(ValueError, match="clone"):
+            td_targets(zero_obs_bundle([0], [1.0], [False]), toy_net(), 0.98)
 
 
 class TestBatchConstants:
@@ -125,10 +147,11 @@ class TestBatchConstants:
         net = toy_net([1.0, 5.0, 3.0, 2.0, 0.0])
         batch = zero_obs_bundle([0, 3, 4], [1.0, 0.5, -0.2],
                                 [False, True, False])
-        targets = td_targets(batch, net, 0.98)
-        dqn.loss_and_gradients(net, batch[0], batch[1], targets)
-        zeros, rows = dqn._zeros((3, net.hidden_size)), dqn._row_index(3)
-        assert zeros is dqn._zeros((3, net.hidden_size))
+        targets, forward = td_targets(batch, net.clone(), 0.98)
+        dqn.loss_and_gradients(net, batch[0][0], batch[1], targets, forward,
+                               net.pair.grad_blocks)
+        zeros, rows = dqn._zeros((2, 3, net.hidden_size)), dqn._row_index(3)
+        assert zeros is dqn._zeros((2, 3, net.hidden_size))
         assert not zeros.any() and rows.tolist() == [0, 1, 2]
         for array in (zeros, rows):
             with pytest.raises(ValueError):
@@ -223,13 +246,20 @@ class TestSyncTarget:
 
 class TestSameBitsAsReference:
     # batches of 37 and 3 are not multiples of a BLAS tile, so the edge
-    # kernels run the dot products that the reference takes with @
-    @pytest.mark.parametrize("hidden,batch",
-                             [(128, 64), (16, 8), (128, 37), (7, 3)])
-    def test_steps_match_plain_numpy_bit_for_bit(self, hidden, batch):
+    # kernels run the dot products that the reference takes with @; a
+    # 100-row ring is wrapped several times by the 363 pushes
+    @pytest.mark.parametrize("hidden,batch,capacity",
+                             [(128, 64, 10_000), (16, 8, 10_000),
+                              (128, 37, 10_000), (7, 3, 10_000),
+                              (128, 64, 100)],
+                             ids=["128-64", "16-8", "128-37", "7-3",
+                                  "128-64-ring100"])
+    def test_steps_match_plain_numpy_bit_for_bit(self, hidden, batch,
+                                                 capacity):
         # 300 gradient steps and 30 target syncs on live env transitions,
         # from the same parameters and sampling stream on both sides
-        hp = Hyperparameters(hidden_units=hidden, batch_size=batch)
+        hp = Hyperparameters(hidden_units=hidden, batch_size=batch,
+                             buffer_capacity=capacity)
         est = QNetwork(OBSERVATION_SIZE, hidden, 5, Rng(8))
         target = est.clone()
         ref_est = {k: v.copy() for k, v in est.parameters().items()}
@@ -310,14 +340,41 @@ class TestFlatParameters:
                 assert view.shape == want[k].shape, (source, k)
                 assert np.array_equal(view, want[k]), (source, k)
                 assert np.shares_memory(view, net.theta), (source, k)
-        blocks = net.blocks(net.theta)
+        # theta's blocks, and the stacked blocks the pair's forward reads,
+        # at theta's row
         block_want = (np.arange(w2_at).reshape(i + 1, h), want["w2"],
                       want["b2"])
-        for view, expected in zip((net.w1b1, *blocks),
-                                  (block_want[0], *block_want)):
-            assert view.shape == expected.shape
-            assert np.array_equal(view, expected)
-            assert np.shares_memory(view, net.theta)
+        pair, row = net.pair, net.row
+        for views in (pair.blocks(net.theta),
+                      (pair.w1b1[row], pair.w2[row], pair.b2[row, 0])):
+            for view, expected in zip(views, block_want):
+                assert view.shape == expected.shape
+                assert np.array_equal(view, expected)
+                assert np.shares_memory(view, net.theta)
+
+    @pytest.mark.parametrize("dims", [(OBS, 16, 5), (1, 1, 1), (3, 7, 2)])
+    def test_clone_is_row_one_of_the_same_pair(self, dims):
+        est = QNetwork(*dims, rng=Rng(2))
+        target = est.clone()
+        assert (est.row, target.row) == (0, 1) and target.pair is est.pair
+        assert np.array_equal(target.theta, est.theta)
+        assert np.shares_memory(target.theta, est.pair.params)
+        assert not np.shares_memory(target.theta, est.theta)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.shares_memory(getattr(target, name), target.theta)
+        with pytest.raises(ValueError, match="target"):
+            target.clone()
+
+    def test_step_rejects_a_target_from_another_pair(self):
+        hp = Hyperparameters(batch_size=4)
+        est = QNetwork(OBS, 16, 5, Rng(4))
+        stranger = QNetwork(OBS, 16, 5).clone()
+        buffer = ReplayBuffer(10, obs_size=OBS)
+        for i in range(4):
+            buffer.push(np.zeros(OBS), i, 1.0, np.zeros(OBS), False)
+        for est_net, target_net in ((est, stranger), (est.clone(), est)):
+            with pytest.raises(ValueError, match="clone"):
+                train_step(est_net, target_net, buffer, hp, Rng(0))
 
     @pytest.mark.parametrize("dims", [(OBS, 16, 5), (1, 1, 1), (3, 7, 2)])
     def test_network_bin_body_is_theta_to_the_byte(self, tmp_path, dims):
@@ -335,8 +392,8 @@ class TestFlatParameters:
     def test_step_after_sync_leaves_target_theta(self):
         hp = Hyperparameters(batch_size=4)
         rng = Rng(4)
-        est, target = QNetwork(OBS, 16, 5, rng), QNetwork(OBS, 16, 5)
-        sync_target(est, target)
+        est = QNetwork(OBS, 16, 5, rng)
+        target = est.clone()
         frozen = target.theta.copy()
         buffer = ReplayBuffer(10, obs_size=OBS)
         for i in range(4):
@@ -359,7 +416,7 @@ class TestReplayBuffer:
         buffer = ReplayBuffer(8, obs_size=2)
         for i in range(8):
             buffer.push(np.full(2, i), i % 5, float(i), np.zeros(2), False)
-        _, _, rewards, _, _ = buffer.sample(1000, Rng(0))
+        _, _, rewards, _ = buffer.sample(1000, Rng(0))
         assert set(rewards.astype(int)) == set(range(8))
 
     def test_sampled_rows_end_in_the_bias_input(self):
@@ -370,8 +427,9 @@ class TestReplayBuffer:
             obs, next_obs = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             buffer.push(obs, i % 5, float(i), next_obs, False)
             stored[float(i)] = (obs, next_obs)
-        obs, _, rewards, next_obs, _ = buffer.sample(200, Rng(2))
-        assert obs.shape == next_obs.shape == (200, 4)
+        rows, _, rewards, _ = buffer.sample(200, Rng(2))
+        obs, next_obs = rows
+        assert rows.shape == (2, 200, 4)
         assert set(rewards) == {7.0, 8.0, 9.0, 10.0, 11.0}
         for row, next_row, reward in zip(obs, next_obs, rewards):
             assert row[3] == next_row[3] == 1.0
@@ -385,7 +443,7 @@ class TestReplayBuffer:
         rng = Rng(4)
         for i in range(1, 16):  # fills, then wraps the ring twice
             buffer.push(np.zeros(2), 0, float(i), np.zeros(2), False)
-            _, _, rewards, _, _ = buffer.sample(500, rng)
+            _, _, rewards, _ = buffer.sample(500, rng)
             assert set(rewards) == {float(j) for j in range(max(1, i - 5),
                                                             i + 1)}
 

@@ -46,16 +46,21 @@ def test_traced_call_sites_stay_on_the_training_path(monkeypatch):
 
         monkeypatch.setattr(owner, attr, counting)
 
-    for owner, attr in ((dqn, "td_targets"), (dqn, "loss_and_gradients"),
+    for owner, attr in ((dqn, "act"), (dqn, "train_step"),
+                        (dqn, "td_targets"), (dqn, "loss_and_gradients"),
+                        (dqn, "sync_target"), (dqn.ReplayBuffer, "push"),
                         (dqn.ReplayBuffer, "sample"), (env, "clamp_sharding"),
                         (env, "round_latency"), (env, "throughput")):
         count(owner, attr)
     rounds = 25
-    hp = dqn.Hyperparameters(batch_size=4, epochs=1)
+    hp = dqn.Hyperparameters(batch_size=4, epochs=1, target_sync_interval=10)
     dqn.train(env.ShardEnv(core.NetworkConfig(rounds_per_episode=rounds)),
               hp, core.Rng(1))
     grad_steps = rounds - hp.batch_size + 1
     assert calls.pop("clamp_sharding") >= rounds
-    assert calls == {"sample": grad_steps, "td_targets": grad_steps,
+    # one sync as clone() sets the target up, then one per interval
+    assert calls == {"act": rounds, "push": rounds, "train_step": rounds,
+                     "sample": grad_steps, "td_targets": grad_steps,
                      "loss_and_gradients": grad_steps,
+                     "sync_target": 1 + grad_steps // hp.target_sync_interval,
                      "round_latency": rounds, "throughput": rounds}

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semshard.core import NetworkConfig
 from semshard.throughput import propagation_time, round_latency, throughput
+from test_config_properties import network_configs
 
 CFG = NetworkConfig()
 
@@ -85,6 +86,36 @@ class TestThroughput:
         base = self._tps(k, s, rate, t_sem, False)
         assert self._tps(k, s, rate + bump, t_sem, False) > base
         assert self._tps(k, s, rate, t_sem + 0.5, False) < base
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=network_configs(), data=st.data())
+def test_tps_rises_strictly_in_shards_and_message_size(cfg, data):
+    """Over constructible configs, with the round's rate, semantic time,
+    node count and reconfigured flag held fixed, tps rises strictly with K
+    over 1..N // min_shard_size and with each message_size_step in S. So
+    the per-round optimum is the most shards and the largest message,
+    whatever the draws: a model change that lets demand move the best
+    setting breaks this on purpose."""
+    n = data.draw(st.integers(cfg.nodes_min, cfg.nodes_max), label="nodes")
+    rate = data.draw(st.floats(cfg.rate_min, cfg.rate_max), label="rate")
+    t_sem = data.draw(st.floats(0.0, cfg.semantic_time_max), label="t_sem")
+    reconfigured = data.draw(st.booleans(), label="reconfigured")
+    step, s_hi = cfg.message_size_step, cfg.avg_message_size_max
+    # one step above S stays in range, where the range holds a step
+    s = data.draw(st.integers(cfg.message_size_min,
+                              max(cfg.message_size_min, s_hi - step)),
+                  label="message_size")
+
+    def tps(k, size):
+        lat = round_latency(k, size, n, rate, t_sem, reconfigured, cfg)
+        return throughput(k, size, lat.t_round, cfg)
+
+    by_k = [tps(k, s) for k in range(1, n // cfg.min_shard_size + 1)]
+    assert all(a < b for a, b in zip(by_k, by_k[1:]))
+    if s + step <= s_hi:
+        for k, at_s in enumerate(by_k, start=1):
+            assert at_s < tps(k, s + step), k
 
 
 def test_sweep_matches_straight_line_composition():
