@@ -19,6 +19,11 @@ count, and one verdict per metric:
   parent;
 - within bound: none of these.
 
+Then one line per side counts its runs that were not `correct` and its
+failed operations against those attempted, over all pairs; the change's
+line ends in `failed share rose` when its share of failed operations
+exceeds the parent's, and in `failed share held` otherwise.
+
 BENCHMARK.json is only read.
 """
 
@@ -62,6 +67,24 @@ def verdict(parent: list[float], change: list[float], better: str,
     return "within bound"
 
 
+def tally(results: list[dict]) -> tuple[int, int, int]:
+    """(runs not correct, operations failed, operations attempted)."""
+    return (sum(not r["correct"] for r in results),
+            sum(r["failed"] for r in results),
+            sum(r["attempted"] for r in results))
+
+
+def failure_verdict(parent: tuple[int, int, int],
+                    change: tuple[int, int, int]) -> str:
+    """Whether the change failed a larger share of the operations it
+    attempted than the parent; each side is a tally()."""
+    def share(counts):
+        _, failed, attempted = counts
+        return failed / attempted if attempted else 0.0
+    return ("failed share rose" if share(change) > share(parent)
+            else "failed share held")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced benchmark run; its closing JSON object."""
     proc = subprocess.run(
@@ -90,12 +113,14 @@ def main(argv: list[str] | None = None) -> int:
     metrics = bench["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    results = {side: [] for side in sides}
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             result = run_once(sides[side], args.workload, seed,
                               bench["run_seconds"])
+            results[side].append(result)
             if not result["correct"] or result["failed"]:
                 print(f"pair {i + 1} {side}: correct {result['correct']}, "
                       f"failed {result['failed']} of {result['attempted']}")
@@ -119,6 +144,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name:12s} {m['unit']:4s} {cols[0]}, {cols[1]}, "
               f"change wins {wins(parent, change, better)}/{args.pairs}: "
               f"{verdict(parent, change, better, m['bound'])}")
+    counts = {side: tally(results[side]) for side in sides}
+    for side, (wrong, failed, attempted) in counts.items():
+        end = (f": {failure_verdict(counts['parent'], counts['change'])}"
+               if side == "change" else "")
+        print(f"  {side}: {wrong} of {args.pairs} runs not correct, "
+              f"{failed} of {attempted} operations failed{end}")
     return 0
 
 

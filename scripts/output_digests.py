@@ -9,7 +9,9 @@ from one after, and compare the lines:
 It imports semshard from the src/ beside this script, so each checkout
 digests its own code, and writes only into a temporary directory. Covered:
 `train` (30 epochs, seed 3) run twice, the same `train` with a 500-row
-replay ring, which its 3,000 pushes wrap six times, a small `sweep` run
+replay ring, which its 3,000 pushes wrap six times, the same `train` with
+batches of 37 and 16 hidden units, sizes that are not multiples of a BLAS
+tile, so the gemms' edge kernels run end to end, a small `sweep` run
 serially and on two workers and then serially again into the serial run's
 directory, so every cell is reused, `pos-demo` (7 verifiers, seed 2) under
 each mechanism, and `eval-throughput` on its defaults. One line per output:
@@ -34,6 +36,7 @@ from semshard import cli  # noqa: E402
 
 TRAIN_CFG = "[agent]\nepochs = 30\n"
 RING_CFG = TRAIN_CFG + "buffer_capacity = 500\n"
+EDGE_CFG = TRAIN_CFG + "batch_size = 37\nhidden_units = 16\n"
 SWEEP_CFG = "[agent]\nepochs = 6\nepsilon_decay = true\n"
 SWEEP_GRID = "nodes=100,500;rates=60,100;seeds=1,2"
 
@@ -57,10 +60,11 @@ def main() -> int:
         tmp = Path(tmp)
         (tmp / "train.cfg").write_text(TRAIN_CFG)
         (tmp / "ring.cfg").write_text(RING_CFG)
+        (tmp / "edge.cfg").write_text(EDGE_CFG)
         (tmp / "sweep.cfg").write_text(SWEEP_CFG)
 
         for cfg, what in (("train", "run 1"), ("train", "run 2"),
-                          ("ring", "ring 500")):
+                          ("ring", "ring 500"), ("edge", "b37 h16")):
             out = tmp / what.replace(" ", "-")
             run(["train", str(tmp / f"{cfg}.cfg"), "--seed", "3",
                  "--out", str(out)])

@@ -18,7 +18,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Iterator, Optional, get_type_hints
 
 from .core import ConfigError, NetworkConfig
 from .dqn import Hyperparameters
@@ -163,36 +163,47 @@ def parse_grid(text: str) -> ScenarioGrid:
     axes = []
     for key, body in bodies.items():
         scale = 1e6 if key == "rates" else 1
-        axis = []
+        axis, seen = [], set()
+        # each value is checked as the range yields it, so a range that
+        # cannot end is rejected at its first bad value
         for v in _parse_values(key, body):
             if key != "rates" and not v.is_integer():
                 raise ConfigError(f"grid.{key}: {v!r} is not a whole number")
             if not math.isfinite(v * scale):
                 raise ConfigError(f"grid.{key}: {v!r} is not finite")
-            axis.append(round(v * scale))
+            value = round(v * scale)
+            # a repeated value would send two jobs to one cell directory
+            if value in seen:
+                raise ConfigError(f"grid.{key}: repeated value")
+            seen.add(value)
+            axis.append(value)
         if not axis:
             raise ConfigError(f"grid.{key}: must be non-empty")
         if key != "seeds" and min(axis) <= 0:
             raise ConfigError(f"grid.{key}: must be strictly positive")
-        # a repeated value would send two jobs to one cell directory
-        if len(set(axis)) < len(axis):
-            raise ConfigError(f"grid.{key}: repeated value")
         axes.append(tuple(axis))
     return ScenarioGrid(*axes)
 
 
-def _parse_values(key: str, body: str) -> list[float]:
+def _parse_values(key: str, body: str) -> Iterator[float]:
+    """The values of one axis, one at a time. A range must have a finite
+    start, stop and step, and a step that moves start."""
     body = body.strip()
     try:
-        if ":" in body:
-            start, stop, step = (float(x) for x in body.split(":"))
-            if step <= 0 or stop < start:
-                raise ValueError(body)
-            values, v = [], start
-            while v <= stop + 1e-9:
-                values.append(v)
-                v += step
-            return values
-        return [float(x) for x in body.split(",") if x.strip()]
+        if ":" not in body:
+            yield from [float(x) for x in body.split(",") if x.strip()]
+            return
+        start, stop, step = (float(x) for x in body.split(":"))
     except ValueError:
         raise ConfigError(f"grid.{key}: cannot parse {body!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"grid.{key}: range {body!r} is not finite")
+    if step <= 0 or stop < start:
+        raise ConfigError(f"grid.{key}: cannot parse {body!r}")
+    if start + step == start:
+        raise ConfigError(f"grid.{key}: step {step!r} does not move "
+                          f"start {start!r}")
+    v = start
+    while v <= stop + 1e-9:
+        yield v
+        v += step

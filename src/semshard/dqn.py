@@ -14,6 +14,16 @@ target on next_obs. numpy runs the same gemm on each slice of a stack as on
 that slice alone, so the bits are those of two separate passes. The pair
 also holds the gradient vector and its block views, built once.
 
+The learner step is mixed precision (Micikevicius et al., "Mixed Precision
+Training", ICLR 2018). The master weights, theta and its (2, P) pair, stay
+float64: every write, the SGD update, act() and network.bin use them. The
+batch arithmetic runs in float32: both forwards, the TD targets, the loss,
+the backward pass and the gradient vector. The pair's float32 mirror of its
+weights is refreshed by one cast at the start of every batch forward. The
+sampled rows are cast where they enter that forward, and the rewards where
+they enter the TD targets. The update theta -= lr * grad then lands in
+float64, so a step far smaller than theta is not lost to float32 rounding.
+
 Training batches carry the hidden layer's bias input: every observation row
 the replay buffer stores ends in a constant 1.0. Against the stacked
 [w1; b1] matrix such a row gives x @ w1 + b1 in one matmul, and the backward
@@ -80,7 +90,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # Read-only, so no caller can change what a later batch reads.
 @functools.lru_cache(maxsize=8)
 def _zeros(shape: tuple) -> np.ndarray:
-    return _read_only(np.zeros(shape))
+    return _read_only(np.zeros(shape, np.float32))
 
 
 @functools.lru_cache(maxsize=8)
@@ -106,25 +116,31 @@ def _param(name: str) -> property:
 
 class QPair:
     """An estimation network and its target as rows 0 and 1 of one (2, P)
-    float64 array, params, each row laid out as QNetwork.theta.
+    float64 array, params, each row laid out as QNetwork.theta: the master
+    weights.
 
-    Built once with it: the stacked [w1; b1], w2 and b2 views of both rows,
-    which the fused forward reads, and the gradient vector with its block
-    views, which the learner step fills.
+    Built once with it: a float32 (2, P) mirror of params with its stacked
+    [w1; b1], w2 and b2 views, which the fused forward reads, and the
+    float32 gradient vector with its block views, which the learner step
+    fills. forward refreshes the mirror from params before every pass, so no
+    write to params, whatever its path, leaves the batch path reading stale
+    weights.
     """
 
     def __init__(self, input_size: int, hidden_size: int, output_size: int):
         self.sizes = (input_size, hidden_size, output_size)
         self.params = np.zeros((2, _theta_size(*self.sizes)))
-        self.w1b1, self.w2, b2 = self.blocks(self.params)
+        self.mirror = np.empty(self.params.shape, np.float32)
+        self.w1b1, self.w2, b2 = self.blocks(self.mirror)
         self.b2 = b2[:, np.newaxis]  # (2, 1, out): broadcast over the batch
-        self.grad = np.empty(self.params.shape[1])
+        self.grad = np.empty(self.params.shape[1], np.float32)
         self.grad_blocks = self.blocks(self.grad)
 
     def blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of the [w1; b1], w2 and b2 blocks of an array laid out as
-        theta along its last axis (theta, a gradient, or params): the blocks
-        a batch gradient fills, and every parameter view's source."""
+        theta along its last axis (theta, a gradient, params or the mirror):
+        the blocks a batch gradient fills, and every parameter view's
+        source."""
         i, h, o = self.sizes
         w2_start, b2_start = (i + 1) * h, (i + 1 + o) * h
         lead = flat.shape[:-1]
@@ -132,17 +148,20 @@ class QPair:
                 flat[..., w2_start:b2_start].reshape(lead + (h, o)),
                 flat[..., b2_start:])
 
-    def forward(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hidden layers (2, B, hidden) and Q-values (2, B, out) of both
-        networks: rows[r], B replay rows each ending in the bias input 1.0,
-        through the network on row r."""
-        hidden = np.matmul(rows, self.w1b1)
+    def forward(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Both networks in float32: rows[r], B replay rows each ending in
+        the bias input 1.0, through the network on row r. Returns the rows
+        as float32 (2, B, in + 1), the hidden layers (2, B, hidden) and the
+        Q-values (2, B, out)."""
+        self.mirror[...] = self.params
+        x = rows.astype(np.float32)
+        hidden = np.matmul(x, self.w1b1)
         # the same elementwise max as against 0.0; numpy's array-array loop
         # runs faster than its array-scalar one
         np.maximum(hidden, _zeros(hidden.shape), out=hidden)
         q = np.matmul(hidden, self.w2)
         q += self.b2
-        return hidden, q
+        return x, hidden, q
 
 
 class QNetwork:
@@ -153,7 +172,9 @@ class QNetwork:
     of a QPair, pair: a new network is row 0, and its clone(), the target,
     is row 1. The four names are views of theta, and so are the plain
     attributes _w1, _b1, _w2 and _b2 that the single-observation pass reads:
-    assignment copies into the views, so neither form goes stale. Since b1
+    assignment copies into the views, so neither form goes stale. forward
+    and act read theta in float64; only the learner's batch pass reads the
+    pair's float32 mirror. Since b1
     directly follows w1, theta's head is also the stacked (in + 1, hidden)
     matrix [w1; b1]: a batch row ending in 1.0 times it is x @ w1 + b1.
     Weights initialize from Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)],
@@ -304,47 +325,48 @@ def td_targets(batch, target_net: QNetwork, discount: float):
     batch is ReplayBuffer.sample()'s (rows, actions, rewards, terminals).
     target_net is row 1 of its QPair, and the pair's one stacked forward
     also runs the estimation network, row 0, on the batch's obs. Returns the
-    targets and that forward's row 0, (hidden, q), as loss_and_gradients
-    takes it.
+    float32 targets and that forward's row 0, (obs, hidden, q) in float32,
+    as loss_and_gradients takes it.
     """
     if target_net.row != 1:
         raise ValueError("td_targets: target_net must be a clone(), row 1")
     rows, _, rewards, terminals = batch
-    hidden, q = target_net.pair.forward(rows)
+    x, hidden, q = target_net.pair.forward(rows)
     # max is exact, so reducing down the contiguous transpose equals
     # q.max(axis=1) at a lower call cost
     targets = np.maximum.reduce(np.ascontiguousarray(q[1].T), axis=0)
     # rewards + discount * best * ~terminals, in that order, in place
     targets *= discount
     targets *= ~terminals
-    targets += rewards
-    return targets, (hidden[0], q[0])
+    targets += rewards.astype(np.float32)
+    return targets, (x[0], hidden[0], q[0])
 
 
-def loss_and_gradients(net: QNetwork, obs: np.ndarray, actions: np.ndarray,
+def loss_and_gradients(net: QNetwork, actions: np.ndarray,
                        targets: np.ndarray, forward, grad_blocks) -> float:
     """Mean squared TD error on the taken actions; its analytic gradient
-    goes into grad_blocks.
+    goes into grad_blocks, all in float32.
 
-    obs rows end in the bias input 1.0, as ReplayBuffer.sample() returns
-    them, and forward is net's (hidden, q) on them. grad_blocks are the
-    QPair.blocks() views of a vector laid out as net.theta, which the
-    caller owns: every entry is overwritten.
+    forward is net's (obs, hidden, q) from its pair's forward, where the obs
+    rows end in the bias input 1.0. grad_blocks are the QPair.blocks() views
+    of a float32 vector laid out as net.theta, which the caller owns: every
+    entry is overwritten.
     """
-    hidden, q = forward
+    obs, hidden, q = forward
     batch = obs.shape[0]
     rows = _row_index(batch)
     err = q[rows, actions] - targets
     # np.mean(err ** 2) is this sum divided by the count: the same bits
     loss = float(np.add.reduce(err * err) / batch)
 
-    dq = np.zeros(q.shape)
+    dq = np.zeros(q.shape, np.float32)
     dq[rows, actions] = 2.0 * err / batch
     w1b1_grad, w2_grad, b2_grad = grad_blocks
     # np.dot, not np.matmul: the same gemm at a lower dispatch cost
     np.dot(hidden.T, dq, out=w2_grad)
     np.add.reduce(dq, axis=0, out=b2_grad)
-    dz1 = dq @ net._w2.T
+    # w2 as the forward read it, from the mirror
+    dz1 = dq @ net.pair.w2[net.row].T
     # hidden > 0 exactly where the pre-activation is > 0 (NaN in neither)
     dz1 *= hidden > 0.0
     # the bias column makes the last row of this product dz1's column sum,
@@ -365,10 +387,11 @@ def train_step(est_net: QNetwork, target_net: QNetwork, buffer: ReplayBuffer,
         return None
     batch = buffer.sample(hp.batch_size, rng)
     targets, forward = td_targets(batch, target_net, hp.discount)
-    loss = loss_and_gradients(est_net, batch[0][0], batch[1], targets,
-                              forward, pair.grad_blocks)
+    loss = loss_and_gradients(est_net, batch[1], targets, forward,
+                              pair.grad_blocks)
     grad = pair.grad
     grad *= hp.learning_rate
+    # the float32 step lands in the float64 master weights
     est_net.theta -= grad
     return loss
 

@@ -11,28 +11,32 @@ OBS = 8
 
 
 def loss_and_fresh_gradient(net, obs, actions, targets):
-    """loss_and_gradients for net alone, into a gradient vector of its own;
-    the forward is row 0 of net's stacked pair pass, with obs on both rows."""
-    hidden, q = net.pair.forward(np.stack([obs, obs]))
-    grad = np.empty_like(net.theta)
-    loss = loss_and_gradients(net, obs, actions, targets, (hidden[0], q[0]),
-                              net.pair.blocks(grad))
+    """loss_and_gradients for net alone, into a float32 gradient vector of
+    its own; the forward is row 0 of net's stacked pair pass, with obs on
+    both rows, and the targets enter as float32, as td_targets gives them."""
+    x, hidden, q = net.pair.forward(np.stack([obs, obs]))
+    grad = np.empty(net.theta.shape, np.float32)
+    loss = loss_and_gradients(net, actions, targets.astype(np.float32),
+                              (x[0], hidden[0], q[0]), net.pair.blocks(grad))
     return loss, grad
 
 
 def numeric_gradients(net, obs, actions, targets, h=1e-5):
-    """Central finite differences over every parameter."""
+    """Central finite differences over every parameter, of the float64
+    reference loss: no float32 rounding and no analytic backward pass."""
+    params = net.parameters()
     grads = {}
-    for name, param in net.parameters().items():
+    for name, param in params.items():
         grad = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
             original = param[idx]
             param[idx] = original + h
-            up, _ = loss_and_fresh_gradient(net, obs, actions, targets)
+            up, _ = reference_loss_and_gradients(params, obs, actions, targets)
             param[idx] = original - h
-            down, _ = loss_and_fresh_gradient(net, obs, actions, targets)
+            down, _ = reference_loss_and_gradients(params, obs, actions,
+                                                   targets)
             param[idx] = original
             grad[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -58,9 +62,11 @@ def gradient_check_instance(seed, hidden=10, batch=4):
 
 
 def max_relative_gradient_error(net, obs, actions, targets):
+    """The program's float32 analytic gradient against central differences
+    of the float64 reference loss."""
     _, grad = loss_and_fresh_gradient(net, obs, actions, targets)
     analytic = net.named(grad)
-    numeric = numeric_gradients(net, obs, actions, targets)
+    numeric = numeric_gradients(net, obs[:, :-1], actions, targets)
     worst = 0.0
     for name in analytic:
         denom = np.maximum(np.abs(analytic[name]) + np.abs(numeric[name]),
@@ -70,7 +76,13 @@ def max_relative_gradient_error(net, obs, actions, targets):
     return worst
 
 
-# The reference step keeps the parameters as four separate arrays in a dict.
+def float32_params(params):
+    """float32 casts of a dict of float64 parameters."""
+    return {k: v.astype(np.float32) for k, v in params.items()}
+
+
+# The reference step keeps the float64 master parameters as four separate
+# arrays in a dict, and runs the batch on their float32 casts.
 
 def reference_forward(params, x):
     hidden = np.maximum(x @ params["w1"] + params["b1"], 0.0)
@@ -106,15 +118,17 @@ def reference_loss_and_gradients(params, obs, actions, targets):
 
 
 def reference_train_step(est, target, buffer, hp, rng):
-    """train_step on dict parameters: SGD one array at a time."""
+    """train_step on dict parameters: the batch in float32 on float32 casts
+    of the parameters, then SGD one float64 array at a time."""
     if len(buffer) < hp.batch_size:
         return None
     rows, actions, rewards, terminals = buffer.sample(hp.batch_size, rng)
     # the plain observations, without the replay rows' bias input
-    batch = (rows[0, :, :-1], actions, rewards, rows[1, :, :-1], terminals)
-    targets = reference_td_targets(batch, target, hp.discount)
-    loss, grads = reference_loss_and_gradients(est, batch[0], batch[1],
-                                               targets)
+    obs, next_obs = rows[:, :, :-1].astype(np.float32)
+    batch = (obs, actions, rewards.astype(np.float32), next_obs, terminals)
+    targets = reference_td_targets(batch, float32_params(target), hp.discount)
+    loss, grads = reference_loss_and_gradients(float32_params(est), obs,
+                                               actions, targets)
     for name, param in est.items():
         param -= hp.learning_rate * grads[name]
     return loss

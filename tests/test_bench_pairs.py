@@ -1,6 +1,7 @@
 """The verdict rule of scripts/bench_pairs.py, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,47 @@ def test_runs_all_apart_are_not_unresolved(bench_pairs):
     assert bench_pairs.wins(parent, overlapping, "lower") == 5
     assert bench_pairs.verdict(parent, overlapping, "lower", 0.25) \
         == "unresolved"
+
+
+def run(correct=True, failed=0, attempted=100):
+    return {"correct": correct, "failed": failed, "attempted": attempted}
+
+
+def test_tally_counts_incorrect_runs_and_failed_operations(bench_pairs):
+    runs = [run(), run(False, 3, 50), run(True, 2, 70)]
+    assert bench_pairs.tally(runs) == (1, 5, 220)
+    assert bench_pairs.tally([]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    ((0, 0, 100), (0, 0, 90), "failed share held"),
+    ((0, 0, 100), (0, 1, 1000), "failed share rose"),
+    # a lower count over fewer operations is a larger share
+    ((0, 2, 1000), (0, 1, 100), "failed share rose"),
+    ((0, 2, 100), (0, 2, 200), "failed share held"),
+    ((0, 0, 0), (0, 1, 10), "failed share rose"),
+    ((0, 0, 10), (0, 0, 0), "failed share held")])
+def test_failure_verdict_compares_shares(bench_pairs, parent, change, want):
+    assert bench_pairs.failure_verdict(parent, change) == want
+
+
+def test_main_prints_each_sides_failures(bench_pairs, tmp_path, monkeypatch,
+                                         capsys):
+    bench = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    metrics = {m["name"]: {"value": 1.0} for m in bench["end_to_end"]}
+
+    def fake_run(checkout, workload, seed, seconds):
+        # the change's second run is wrong and fails 4 of its operations
+        bad = checkout.name == "change" and seed == 101
+        return {**run(not bad, 4 if bad else 0, 50), "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main([str(tmp_path), str(tmp_path / "change"),
+                             "--workload", "w", "--pairs", "3",
+                             "--seed", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "  parent: 0 of 3 runs not correct, 0 of 150 operations failed",
+        "  change: 1 of 3 runs not correct, 4 of 150 operations failed: "
+        "failed share rose"]

@@ -182,7 +182,16 @@ class TestScenarioGrid:
         ("rates=60,60.0000001", "grid.rates: repeated value"),
         ("rates=0.0000001", "grid.rates: must be strictly positive"),
         ("nodes=100;nodes=200", "grid.nodes: axis given twice"),
-        ("seeds=1; rates=60;seeds =2", "grid.seeds: axis given twice")])
+        ("seeds=1; rates=60;seeds =2", "grid.seeds: axis given twice"),
+        # ranges that never end, or end after ~1e9 values: each is rejected
+        # before its loop or at its first bad value
+        ("rates=60:100:1e-300", "grid.rates: step 1e-300 does not move"),
+        ("nodes=1:inf:1", "grid.nodes: range '1:inf:1' is not finite"),
+        ("seeds=-inf:1:1", "grid.seeds: range '-inf:1:1' is not finite"),
+        ("nodes=100:200:nan", "grid.nodes: range '100:200:nan' is not finite"),
+        ("rates=60:61:1e-9", "grid.rates: repeated value"),
+        ("nodes=1:1e15:0.5", "grid.nodes: 1.5 is not a whole number"),
+        ("seeds=1e17:2e17:1", "grid.seeds: step 1.0 does not move")])
     def test_truncated_or_repeated_value_rejected(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_grid(text)
@@ -518,6 +527,17 @@ class TestCmdSweep:
         assert code == 2
         assert capsys.readouterr().err \
             == "error: grid.nodes: axis given twice\n"
+        assert not out.exists()
+
+
+    def test_range_that_cannot_end_exits_2_before_out(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--out", str(out), "--workers", "1",
+                         "--grid", "nodes=60;rates=60:100:1e-300;seeds=3"])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: grid.rates: step 1e-300 "
+                                           "does not move start 60.0\n")
         assert not out.exists()
 
 

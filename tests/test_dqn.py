@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import semshard.dqn as dqn
-from dqn_oracles import (gradient_check_instance, max_relative_gradient_error,
-                         reference_forward, reference_train_step)
+from dqn_oracles import (float32_params, gradient_check_instance,
+                         max_relative_gradient_error, reference_forward,
+                         reference_train_step)
 from semshard.core import ConfigError, NetworkConfig, Rng
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, act,
                           epsilon_for_epoch, load_network, save_network,
@@ -129,11 +130,18 @@ class TestTdTargets:
         rows[0, :, :-1], rows[1, :, :-1] = obs, next_obs
         batch = (rows, np.array([0, 1, 2]), np.zeros(3),
                  np.zeros(3, dtype=bool))
-        targets, (hidden, q) = td_targets(batch, target, 0.5)
-        assert np.array_equal(targets,
-                              0.5 * target.forward(next_obs).max(axis=1))
-        assert np.array_equal(q, est.forward(obs))
-        assert np.array_equal(hidden, np.maximum(obs @ est.w1 + est.b1, 0.0))
+        targets, (x, hidden, q) = td_targets(batch, target, 0.5)
+        # each against a plain float32 pass on its network's float32 weights
+        obs, next_obs = obs.astype(np.float32), next_obs.astype(np.float32)
+        est32 = float32_params(est.parameters())
+        target32 = float32_params(target.parameters())
+        assert np.array_equal(
+            targets, 0.5 * reference_forward(target32, next_obs).max(axis=1))
+        assert np.array_equal(x, rows[0].astype(np.float32))
+        assert np.array_equal(q, reference_forward(est32, obs))
+        assert np.array_equal(hidden,
+                              np.maximum(obs @ est32["w1"] + est32["b1"], 0.0))
+        assert targets.dtype == q.dtype == hidden.dtype == np.float32
 
     def test_row_zero_network_rejected(self):
         with pytest.raises(ValueError, match="clone"):
@@ -148,10 +156,11 @@ class TestBatchConstants:
         batch = zero_obs_bundle([0, 3, 4], [1.0, 0.5, -0.2],
                                 [False, True, False])
         targets, forward = td_targets(batch, net.clone(), 0.98)
-        dqn.loss_and_gradients(net, batch[0][0], batch[1], targets, forward,
+        dqn.loss_and_gradients(net, batch[1], targets, forward,
                                net.pair.grad_blocks)
         zeros, rows = dqn._zeros((2, 3, net.hidden_size)), dqn._row_index(3)
         assert zeros is dqn._zeros((2, 3, net.hidden_size))
+        assert zeros.dtype == np.float32
         assert not zeros.any() and rows.tolist() == [0, 1, 2]
         for array in (zeros, rows):
             with pytest.raises(ValueError):
@@ -341,16 +350,18 @@ class TestFlatParameters:
                 assert np.array_equal(view, want[k]), (source, k)
                 assert np.shares_memory(view, net.theta), (source, k)
         # theta's blocks, and the stacked blocks the pair's forward reads,
-        # at theta's row
+        # at theta's row of the float32 mirror once a forward refreshed it
         block_want = (np.arange(w2_at).reshape(i + 1, h), want["w2"],
                       want["b2"])
         pair, row = net.pair, net.row
-        for views in (pair.blocks(net.theta),
-                      (pair.w1b1[row], pair.w2[row], pair.b2[row, 0])):
+        pair.forward(np.ones((2, 1, i + 1)))
+        for views, source in ((pair.blocks(net.theta), net.theta),
+                              ((pair.w1b1[row], pair.w2[row], pair.b2[row, 0]),
+                               pair.mirror[row])):
             for view, expected in zip(views, block_want):
                 assert view.shape == expected.shape
                 assert np.array_equal(view, expected)
-                assert np.shares_memory(view, net.theta)
+                assert np.shares_memory(view, source)
 
     @pytest.mark.parametrize("dims", [(OBS, 16, 5), (1, 1, 1), (3, 7, 2)])
     def test_clone_is_row_one_of_the_same_pair(self, dims):
@@ -401,6 +412,50 @@ class TestFlatParameters:
         assert train_step(est, target, buffer, hp, rng) is not None
         assert np.array_equal(target.theta, frozen)
         assert not np.array_equal(est.theta, frozen)
+
+
+class TestFloat32Mirror:
+    # the batch path reads a float32 mirror of the float64 master weights;
+    # after any write to them, the next batch forward must read the new ones
+    def write(self, how, est, target, tmp_path):
+        """Apply one write path; return the (estimation, target) pair of
+        networks whose batch forward is checked next."""
+        rng = Rng(12)
+        if how == "setter":
+            est.w2 = rng.uniform(-1, 1, (16, 5))
+        elif how == "load_network":
+            trained = QNetwork(OBS, 16, 5, rng)
+            save_network(trained, tmp_path / "net.bin")
+            loaded = load_network(tmp_path / "net.bin")
+            return loaded, loaded.clone()
+        elif how == "sync_target":
+            # est moves first, so the sync writes new weights into row 1
+            est.w2 = rng.uniform(-1, 1, (16, 5))
+            est.pair.forward(np.ones((2, 1, OBS + 1)))
+            sync_target(est, target)
+        else:
+            buffer = ReplayBuffer(10, obs_size=OBS)
+            for i in range(4):
+                buffer.push(random_obs(rng), i, 1.0, random_obs(rng), False)
+            assert train_step(est, target, buffer,
+                              Hyperparameters(batch_size=4), rng) is not None
+        return est, target
+
+    @pytest.mark.parametrize("how", ["setter", "load_network", "sync_target",
+                                     "train_step"])
+    def test_next_batch_forward_reads_the_current_weights(self, how,
+                                                          tmp_path):
+        est = QNetwork(OBS, 16, 5, Rng(11))
+        target = est.clone()
+        rows = np.ones((2, 6, OBS + 1))
+        rows[..., :-1] = Rng(13).uniform(0.0, 1.0, (2, 6, OBS))
+        est.pair.forward(rows)  # the mirror as of before the write
+        est, target = self.write(how, est, target, tmp_path)
+        _, _, q = est.pair.forward(rows)
+        for r, net in enumerate((est, target)):
+            want = reference_forward(float32_params(net.parameters()),
+                                     rows[r, :, :-1].astype(np.float32))
+            assert np.array_equal(q[r], want), r
 
 
 class TestReplayBuffer:
