@@ -16,6 +16,12 @@ serially and on two workers and then serially again into the serial run's
 directory, so every cell is reused, `pos-demo` (7 verifiers, seed 2) under
 each mechanism, and `eval-throughput` on its defaults. One line per output:
 what ran, the file (or stdout), and the first 16 hex digits of its SHA-256.
+Each `sweep` run gets two lines: its `sweep.csv`, and "cells", one digest
+over every cell's `rewards.csv` and `network.bin` in sorted path order, each
+file's path relative to `--out` hashed before its bytes. `sweep.csv` holds
+only each epoch's mean reward, which depends only on the actions taken, so a
+learner change that moves the weights and losses but no greedy action shows
+only on the cells line.
 The two plain `train` runs, and the three `sweep` runs, must print equal
 digests: within one checkout that shows determinism and a byte-identical
 resume, also when the outputs moved on purpose. A run takes a few seconds.
@@ -79,6 +85,11 @@ def main() -> int:
                  "--workers", workers, "--out", str(out)])
             show(f"sweep --workers {what}", "sweep.csv",
                  (out / "sweep.csv").read_bytes())
+            cells = sorted(p for p in (out / "cells").rglob("*")
+                           if p.name in ("rewards.csv", "network.bin"))
+            show(f"sweep --workers {what}", "cells", b"".join(
+                p.relative_to(out).as_posix().encode() + b"\0" + p.read_bytes()
+                for p in cells))
 
         for mechanism in ("offchain", "interactive", "commitment"):
             stdout = run(["pos-demo", "--verifiers", "7", "--seed", "2",

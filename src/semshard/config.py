@@ -18,7 +18,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Optional, get_type_hints
+from typing import Iterable, Iterator, Optional, get_type_hints
 
 from .core import ConfigError, NetworkConfig
 from .dqn import Hyperparameters
@@ -125,6 +125,10 @@ def read_manifest(path) -> dict:
 
 DEFAULT_GRID = "nodes=100:500:100;rates=60:100:10;seeds=1,2,3"
 
+# criterion 3's grid has 75 cells; a grid over 100 times that is far more
+# likely a typo than a plan, and one of this size builds its configs in ~0.1 s
+MAX_GRID_CELLS = 10_000
+
 
 @dataclass(frozen=True)
 class ScenarioGrid:
@@ -144,7 +148,8 @@ def parse_grid(text: str) -> ScenarioGrid:
     Clauses are ';'-separated; each value list is either 'start:stop:step'
     (inclusive) or a comma list. An axis the text leaves out takes its
     DEFAULT_GRID clause; one it names twice is rejected. Rates are given in
-    Mbps and rounded to whole bit/s.
+    Mbps and rounded to whole bit/s. An axis, or the grid, of more than
+    MAX_GRID_CELLS values is rejected before any value is made.
     """
     bodies = dict(clause.split("=") for clause in DEFAULT_GRID.split(";"))
     given = set()
@@ -160,13 +165,23 @@ def parse_grid(text: str) -> ScenarioGrid:
             raise ConfigError(f"grid.{key}: axis given twice")
         given.add(key)
         bodies[key] = body
-    axes = []
+    counted, cells = [], 1
     for key, body in bodies.items():
+        count, values = _parse_values(key, body)
+        cells *= count
+        if count > MAX_GRID_CELLS:
+            raise ConfigError(f"grid.{key}: {count} values, more than "
+                              f"{MAX_GRID_CELLS}")
+        if cells > MAX_GRID_CELLS:
+            raise ConfigError(f"grid.{key}: makes a grid of {cells} cells, "
+                              f"more than {MAX_GRID_CELLS}")
+        counted.append((key, values))
+    axes = []
+    for key, values in counted:
         scale = 1e6 if key == "rates" else 1
         axis, seen = [], set()
-        # each value is checked as the range yields it, so a range that
-        # cannot end is rejected at its first bad value
-        for v in _parse_values(key, body):
+        # each value is checked as the range yields it
+        for v in values:
             if key != "rates" and not v.is_integer():
                 raise ConfigError(f"grid.{key}: {v!r} is not a whole number")
             if not math.isfinite(v * scale):
@@ -185,14 +200,15 @@ def parse_grid(text: str) -> ScenarioGrid:
     return ScenarioGrid(*axes)
 
 
-def _parse_values(key: str, body: str) -> Iterator[float]:
-    """The values of one axis, one at a time. A range must have a finite
-    start, stop and step, and a step that moves start."""
+def _parse_values(key: str, body: str) -> tuple[float, Iterable[float]]:
+    """How many values one axis has, and the values, a range's made one at
+    a time. A range must have a finite start, stop and step, and a step
+    that moves start; its count comes from those three, before its loop."""
     body = body.strip()
     try:
         if ":" not in body:
-            yield from [float(x) for x in body.split(",") if x.strip()]
-            return
+            values = [float(x) for x in body.split(",") if x.strip()]
+            return len(values), values
         start, stop, step = (float(x) for x in body.split(":"))
     except ValueError:
         raise ConfigError(f"grid.{key}: cannot parse {body!r}")
@@ -203,7 +219,14 @@ def _parse_values(key: str, body: str) -> Iterator[float]:
     if start + step == start:
         raise ConfigError(f"grid.{key}: step {step!r} does not move "
                           f"start {start!r}")
+    # the loop makes start, start + step, ... up to stop + 1e-9
+    span = (stop + 1e-9 - start) / step
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    return count, _range_values(start, step, count)
+
+
+def _range_values(start: float, step: float, count: int) -> Iterator[float]:
     v = start
-    while v <= stop + 1e-9:
+    for _ in range(count):
         yield v
         v += step

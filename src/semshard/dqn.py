@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ConfigError, Rng, require_finite
-from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
+from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv, run_episodes
 
 
 @dataclass
@@ -433,31 +434,28 @@ def train(env: ShardEnv, hp: Hyperparameters, rng: Rng,
     est = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
     target = est.clone()
     buffer = ReplayBuffer(hp.buffer_capacity)
-    grad_steps = 0
-    rows = []
-    for epoch in range(hp.epochs):
-        epsilon = epsilon_for_epoch(hp, epoch)
-        obs = env.reset(rng)
-        total_reward = 0.0
-        losses = []
-        while True:
-            action = act(est, obs, epsilon, rng)
-            next_obs, reward, terminal, _ = env.step(action, rng)
-            buffer.push(obs, int(action), reward, next_obs, terminal)
-            loss = train_step(est, target, buffer, hp, rng)
-            if loss is not None:
-                losses.append(loss)
-                grad_steps += 1
-                if grad_steps % hp.target_sync_interval == 0:
-                    sync_target(est, target)
-            total_reward += reward
-            obs = next_obs
-            if terminal:
-                break
-        mean_loss = float(np.mean(losses)) if losses else 0.0
-        rows.append(TrainRow(epoch, total_reward / env.cfg.rounds_per_episode,
-                             epsilon, mean_loss))
-    return est, rows
+    epsilons = [epsilon_for_epoch(hp, epoch) for epoch in range(hp.epochs)]
+    grad_steps = itertools.count(1)  # numbers gradient steps across epochs
+    losses, mean_losses = [], []  # this epoch's losses; each epoch's mean
+
+    def play(epoch, obs):
+        action = act(est, obs, epsilons[epoch], rng)
+        result = env.step(action, rng)
+        next_obs, reward, terminal, _ = result
+        buffer.push(obs, int(action), reward, next_obs, terminal)
+        loss = train_step(est, target, buffer, hp, rng)
+        if loss is not None:
+            losses.append(loss)
+            if next(grad_steps) % hp.target_sync_interval == 0:
+                sync_target(est, target)
+        if terminal:
+            mean_losses.append(float(np.mean(losses)) if losses else 0.0)
+            losses.clear()
+        return result
+
+    means = run_episodes(env, hp.epochs, rng, play)
+    return est, list(map(TrainRow, range(hp.epochs), means, epsilons,
+                         mean_losses))
 
 
 NETWORK_MAGIC = b"SHRDQNET"

@@ -200,6 +200,21 @@ class ShardEnv:
         return self.observe(), reward, self._terminal, info
 
 
+def run_episodes(env: ShardEnv, episodes: int, rng: Rng, play) -> list[float]:
+    """Mean reward per episode. Each episode resets env; play(episode, obs)
+    then advances each round with env.step or env.force_setting and returns
+    that call's 4-tuple. The score is total reward / rounds_per_episode."""
+    means = []
+    for episode in range(episodes):
+        obs = env.reset(rng)
+        total = 0.0
+        while not env.terminal:
+            obs, reward, _, _ = play(episode, obs)
+            total += reward
+        means.append(total / env.cfg.rounds_per_episode)
+    return means
+
+
 def run_baseline(cfg: NetworkConfig, episodes: int, rng: Rng,
                  frozen_exogenous: Optional[tuple[float, float]] = None,
                  ) -> list[float]:
@@ -211,13 +226,5 @@ def run_baseline(cfg: NetworkConfig, episodes: int, rng: Rng,
     """
     env = ShardEnv(cfg, frozen_exogenous)
     k_fixed = cfg.nodes_initial // cfg.min_shard_size
-    means = []
-    for _ in range(episodes):
-        env.reset(rng)
-        total = 0.0
-        while not env.terminal:
-            _, reward, _, _ = env.force_setting(
-                k_fixed, cfg.avg_message_size_max, rng)
-            total += reward
-        means.append(total / cfg.rounds_per_episode)
-    return means
+    return run_episodes(env, episodes, rng, lambda episode, obs: (
+        env.force_setting(k_fixed, cfg.avg_message_size_max, rng)))

@@ -183,15 +183,22 @@ class TestScenarioGrid:
         ("rates=0.0000001", "grid.rates: must be strictly positive"),
         ("nodes=100;nodes=200", "grid.nodes: axis given twice"),
         ("seeds=1; rates=60;seeds =2", "grid.seeds: axis given twice"),
-        # ranges that never end, or end after ~1e9 values: each is rejected
-        # before its loop or at its first bad value
+        # ranges that never end, or end after ~1e9 values or more: each is
+        # rejected before its loop
         ("rates=60:100:1e-300", "grid.rates: step 1e-300 does not move"),
         ("nodes=1:inf:1", "grid.nodes: range '1:inf:1' is not finite"),
         ("seeds=-inf:1:1", "grid.seeds: range '-inf:1:1' is not finite"),
         ("nodes=100:200:nan", "grid.nodes: range '100:200:nan' is not finite"),
-        ("rates=60:61:1e-9", "grid.rates: repeated value"),
-        ("nodes=1:1e15:0.5", "grid.nodes: 1.5 is not a whole number"),
-        ("seeds=1e17:2e17:1", "grid.seeds: step 1.0 does not move")])
+        ("rates=60:61:1e-9", "grid.rates: 1000000001 values, more than 10000$"),
+        ("nodes=1:1e15:0.5",
+         "grid.nodes: 1999999999999999 values, more than 10000$"),
+        ("seeds=1e17:2e17:1", "grid.seeds: step 1.0 does not move"),
+        ("seeds=0:1e9:1", "grid.seeds: 1000000001 values, more than 10000$"),
+        ("rates=60:60.000001:1e-7", "grid.rates: repeated value"),
+        ("seeds=-1e308:1e308:1e300", "grid.seeds: inf values, more than"),
+        # each axis is within the bound, their product is not
+        ("nodes=1:1000:1;rates=1:1000:1;seeds=1:1000:1",
+         "grid.rates: makes a grid of 1000000 cells, more than 10000$")])
     def test_truncated_or_repeated_value_rejected(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_grid(text)

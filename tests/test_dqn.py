@@ -11,11 +11,11 @@ from dqn_oracles import (float32_params, gradient_check_instance,
                          max_relative_gradient_error, reference_forward,
                          reference_train_step)
 from semshard.core import ConfigError, NetworkConfig, Rng
-from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, act,
-                          epsilon_for_epoch, load_network, save_network,
+from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, TrainRow,
+                          act, epsilon_for_epoch, load_network, save_network,
                           sync_target, td_targets, train, train_step,
                           write_training_csv)
-from semshard.env import OBSERVATION_SIZE, Action, ShardEnv
+from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
 
 OBS = 8
 
@@ -654,6 +654,46 @@ class TestTraining:
         assert rows_a == rows_b
         for k, v in net_a.parameters().items():
             assert np.array_equal(net_b.parameters()[k], v)
+
+    def test_rows_and_weights_match_a_written_out_loop(self):
+        # decaying epsilon; 10-round epochs against batches of 25, so epochs
+        # 0 and 1 take no gradient step; a sync every 7 steps, which does
+        # not divide an epoch's 10, so a step count kept per epoch shows
+        cfg = NetworkConfig(rounds_per_episode=10, nodes_initial=60, seed=0)
+        hp = Hyperparameters(epochs=6, batch_size=25, target_sync_interval=7,
+                             epsilon=0.5, epsilon_decay=True, hidden_units=16)
+        net, rows = train(ShardEnv(cfg), hp, Rng(7))
+
+        rng, env = Rng(7), ShardEnv(cfg)
+        est = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
+        target = est.clone()
+        buffer = ReplayBuffer(hp.buffer_capacity)
+        steps, expected = 0, []
+        for epoch in range(hp.epochs):
+            epsilon = epsilon_for_epoch(hp, epoch)
+            obs = env.reset(rng)
+            total, losses = 0.0, []
+            while not env.terminal:
+                action = act(est, obs, epsilon, rng)
+                next_obs, reward, terminal, _ = env.step(action, rng)
+                buffer.push(obs, int(action), reward, next_obs, terminal)
+                loss = train_step(est, target, buffer, hp, rng)
+                if loss is not None:
+                    losses.append(loss)
+                    steps += 1
+                    if steps % hp.target_sync_interval == 0:
+                        sync_target(est, target)
+                total += reward
+                obs = next_obs
+            expected.append(TrainRow(
+                epoch, total / cfg.rounds_per_episode, epsilon,
+                float(np.mean(losses)) if losses else 0.0))
+        assert rows == expected
+        assert net.theta.tobytes() == est.theta.tobytes()
+        # the fixture reaches what the comments above say it does
+        assert [r.mean_loss == 0.0 for r in rows] == [True] * 2 + [False] * 4
+        assert len({r.epsilon for r in rows}) == hp.epochs
+        assert steps % hp.target_sync_interval != 0
 
     def test_csv_rows_schema(self):
         _, rows = self._smoke()

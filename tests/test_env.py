@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
+from semshard import dqn
+from semshard import env as env_module
 from semshard.core import ConfigError, NetworkConfig, Rng, partition
 from semshard.env import (OBSERVATION_SIZE, Action, EpisodeFinishedError,
                           EpisodeRecord, ShardEnv, run_baseline,
@@ -287,6 +289,64 @@ class TestBaseline:
         first = straight_line_reward(25, 8_000_000, 100, *FROZEN, True)
         steady = straight_line_reward(25, 8_000_000, 100, *FROZEN, False)
         assert mean == pytest.approx((first + 99 * steady) / 100, abs=1e-9)
+
+    def test_matches_a_written_out_static_loop_under_churn(self):
+        cfg = NetworkConfig(rounds_per_episode=30)
+        for seed in (2, 9):
+            env, rng, expected = ShardEnv(cfg), Rng(seed), []
+            for _ in range(3):
+                env.reset(rng)
+                total = 0.0
+                while not env.terminal:
+                    _, reward, _, _ = env.force_setting(
+                        cfg.nodes_initial // cfg.min_shard_size,
+                        cfg.avg_message_size_max, rng)
+                    total += reward
+                expected.append(total / cfg.rounds_per_episode)
+            assert len({rec.n_nodes for rec in env.log.records}) > 1
+            assert run_baseline(cfg, 3, Rng(seed)) == expected
+
+
+class TestRunEpisodes:
+    def test_play_runs_each_round_from_the_last_observation(self):
+        cfg = NetworkConfig(rounds_per_episode=4)
+        env, rng, seen, totals = ShardEnv(cfg), Rng(3), [], [0.0, 0.0]
+
+        def play(episode, obs):
+            seen.append((episode, obs[3]))
+            result = env.step(Action.INC_SHARDS, rng)
+            totals[episode] += result[1]
+            return result
+
+        means = env_module.run_episodes(env, 2, rng, play)
+        # the round feature: reset's 0, then each step's own observation
+        assert seen == [(e, r / 4) for e in (0, 1) for r in range(4)]
+        assert means == [totals[0] / 4, totals[1] / 4]
+
+    def test_train_and_run_baseline_each_run_one_loop(self, monkeypatch):
+        # the one loop is also the only caller of ShardEnv.reset
+        calls, resets = [], []
+        loop, reset = env_module.run_episodes, ShardEnv.reset
+
+        def counting_loop(shard_env, episodes, rng, play):
+            calls.append(episodes)
+            return loop(shard_env, episodes, rng, play)
+
+        def counting_reset(self, rng):
+            resets.append(calls[-1] if calls else None)
+            return reset(self, rng)
+
+        assert dqn.run_episodes is loop
+        monkeypatch.setattr(env_module, "run_episodes", counting_loop)
+        monkeypatch.setattr(dqn, "run_episodes", counting_loop)
+        monkeypatch.setattr(ShardEnv, "reset", counting_reset)
+        cfg = NetworkConfig(rounds_per_episode=5, nodes_initial=60)
+        dqn.train(ShardEnv(cfg), dqn.Hyperparameters(epochs=3, batch_size=4),
+                  Rng(1))
+        assert calls == [3]
+        env_module.run_baseline(cfg, 4, Rng(1))
+        assert calls == [3, 4]
+        assert resets == [3] * 3 + [4] * 4
 
 
 class TestEpisodeLog:
