@@ -165,10 +165,11 @@ def run_sweep_cell(cfg: RunConfig, out_dir: str,
 
 def _stored_hash(manifest_path: Path) -> str | None:
     """The manifest's config_hash; None if the manifest is absent, lacks
-    the key, or is not JSON because a killed run cut it short."""
+    the key, is JSON but not an object, or is not JSON because a killed run
+    cut it short."""
     try:
         return read_manifest(manifest_path)["config_hash"]
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 

@@ -40,20 +40,24 @@ def _coerce(section: str, name: str, kind: type, raw: str):
     raw = raw.strip()
     try:
         if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-    except ValueError:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
         raise ConfigError(
             f"{section}.{name}: cannot parse {raw!r} as {kind.__name__}")
-    return raw
+
+
+def _syntax_error(exc: configparser.Error) -> ConfigError:
+    """ConfigParser.read's error, one of four kinds, naming key or line."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return ConfigError(f"{exc.section}.{exc.option}: given twice")
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return ConfigError(f"{exc.section}: section given twice")
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return ConfigError(f"line {exc.lineno}: {exc.line.strip()!r} comes "
+                           "before any [section] header")
+    lineno, line = exc.errors[0]  # a ParsingError; line as its repr()
+    return ConfigError(f"line {lineno}: {line} is not 'key = value'")
 
 
 def load_config(path: Optional[str] = None,
@@ -63,8 +67,12 @@ def load_config(path: Optional[str] = None,
     values: dict[str, dict] = {name: {} for name in _KEY_TYPES}
 
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        read = parser.read(path)
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                           interpolation=None)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise _syntax_error(exc) from None
         if not read:
             raise ConfigError(f"config file not readable: {path}")
         for section in parser.sections():

@@ -5,21 +5,22 @@ exploration, TD targets from a periodically synchronized target network, and
 plain stochastic gradient descent. No autograd: the backward pass is written
 out (and checked against finite differences in the tests).
 
-The learner step is fused. The estimation network and its target are rows 0
-and 1 of one (2, P) array, a QPair, and the replay buffer keeps each
-transition's obs and next_obs as rows 0 and 1 of one (2, capacity, in + 1)
-array. So a sampled batch is one stack, and one stacked matmul per layer,
-with one ReLU and one bias add, runs the estimation network on obs and the
-target on next_obs. numpy runs the same gemm on each slice of a stack as on
-that slice alone, so the bits are those of two separate passes. The pair
-also holds the gradient vector and its block views, built once.
+The learner step is fused. One QNetwork holds the estimation network and its
+target as rows 0 and 1 of one (2, P) array, params, and the replay buffer
+keeps each transition's obs and next_obs as rows 0 and 1 of one
+(2, capacity, in + 1) array. So a sampled batch is one stack, and one stacked
+matmul per layer, with one ReLU and one bias add, runs the estimation network
+on obs and the target on next_obs. numpy runs the same gemm on each slice of
+a stack as on that slice alone, so the bits are those of two separate passes.
+The network also holds the gradient vector and its block views, built once.
+No learner call takes a second network.
 
 The learner step is mixed precision (Micikevicius et al., "Mixed Precision
-Training", ICLR 2018). The master weights, theta and its (2, P) pair, stay
+Training", ICLR 2018). The master weights, both rows of params, stay
 float64: every write, the SGD update, act() and network.bin use them. The
 batch arithmetic runs in float32: both forwards, the TD targets, the loss,
-the backward pass and the gradient vector. The pair's float32 mirror of its
-weights is refreshed by one cast at the start of every batch forward. The
+the backward pass and the gradient vector. The network's float32 mirror of
+params is refreshed by one cast at the start of every batch forward. The
 sampled rows are cast where they enter that forward, and the rewards where
 they enter the TD targets. The update theta -= lr * grad then lands in
 float64, so a step far smaller than theta is not lost to float32 rounding.
@@ -78,7 +79,7 @@ class Hyperparameters:
 
 
 def _theta_size(input_size: int, hidden_size: int, output_size: int) -> int:
-    """Length of theta: QPair.blocks' [w1; b1], w2 and b2, end to end."""
+    """Length of theta: QNetwork.blocks' [w1; b1], w2 and b2, end to end."""
     return (input_size + 1 + output_size) * hidden_size + output_size
 
 
@@ -115,27 +116,55 @@ def _param(name: str) -> property:
     return property(get, set_)
 
 
-class QPair:
-    """An estimation network and its target as rows 0 and 1 of one (2, P)
-    float64 array, params, each row laid out as QNetwork.theta: the master
-    weights.
+class QNetwork:
+    """Linear -> ReLU -> linear; five action values out, no output activation.
 
-    Built once with it: a float32 (2, P) mirror of params with its stacked
-    [w1; b1], w2 and b2 views, which the fused forward reads, and the
-    float32 gradient vector with its block views, which the learner step
-    fills. forward refreshes the mirror from params before every pass, so no
-    write to params, whatever its path, leaves the batch path reading stale
-    weights.
+    The estimation network and its target, a periodically synchronized copy,
+    are rows 0 and 1 of one (2, P) float64 array, params: theta and
+    target_theta, the master weights. Each row holds w1, b1, w2, b2, each
+    row-major, which is exactly the network.bin body. The four names are
+    views of theta, and so are the plain attributes _w1, _b1, _w2 and _b2
+    that the single-observation pass reads: assignment copies into the
+    views, so neither form goes stale. named(target_theta) gives the
+    target's views. forward and act read theta in float64. Since b1 directly
+    follows w1, theta's head is also the stacked (in + 1, hidden) matrix
+    [w1; b1]: a batch row ending in 1.0 times it is x @ w1 + b1.
+
+    Built once with params: a float32 (2, P) mirror of it with its stacked
+    [w1; b1], w2 and b2 views, which stacked_forward reads, and the float32
+    gradient vector with its block views, which the learner step fills.
+    stacked_forward refreshes the mirror from params before every pass, so
+    no write to params, whatever its path, leaves the batch path reading
+    stale weights. Weights initialize from Uniform[-1/sqrt(fan_in),
+    +1/sqrt(fan_in)], biases from zero, and the target from a sync. Without
+    an rng all parameters start at zero.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, output_size: int):
+    w1 = _param("w1")
+    b1 = _param("b1")
+    w2 = _param("w2")
+    b2 = _param("b2")
+
+    def __init__(self, input_size: int = OBSERVATION_SIZE,
+                 hidden_size: int = 128, output_size: int = NUM_ACTIONS,
+                 rng: Optional[Rng] = None):
         self.sizes = (input_size, hidden_size, output_size)
+        self.input_size, self.hidden_size, self.output_size = self.sizes
         self.params = np.zeros((2, _theta_size(*self.sizes)))
+        self.theta, self.target_theta = self.params
+        # the views the properties return, read without the property call
+        self._w1, self._b1, self._w2, self._b2 = self.named(self.theta).values()
         self.mirror = np.empty(self.params.shape, np.float32)
-        self.w1b1, self.w2, b2 = self.blocks(self.mirror)
-        self.b2 = b2[:, np.newaxis]  # (2, 1, out): broadcast over the batch
-        self.grad = np.empty(self.params.shape[1], np.float32)
+        self.mirror_w1b1, self.mirror_w2, b2 = self.blocks(self.mirror)
+        self.mirror_b2 = b2[:, np.newaxis]  # (2, 1, out): broadcasts over B
+        self.grad = np.empty(self.theta.shape, np.float32)
         self.grad_blocks = self.blocks(self.grad)
+        if rng is not None:
+            bound1 = 1.0 / np.sqrt(input_size)
+            bound2 = 1.0 / np.sqrt(hidden_size)
+            self.w1 = rng.uniform(-bound1, bound1, (input_size, hidden_size))
+            self.w2 = rng.uniform(-bound2, bound2, (hidden_size, output_size))
+        sync_target(self)
 
     def blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of the [w1; b1], w2 and b2 blocks of an array laid out as
@@ -149,64 +178,9 @@ class QPair:
                 flat[..., w2_start:b2_start].reshape(lead + (h, o)),
                 flat[..., b2_start:])
 
-    def forward(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Both networks in float32: rows[r], B replay rows each ending in
-        the bias input 1.0, through the network on row r. Returns the rows
-        as float32 (2, B, in + 1), the hidden layers (2, B, hidden) and the
-        Q-values (2, B, out)."""
-        self.mirror[...] = self.params
-        x = rows.astype(np.float32)
-        hidden = np.matmul(x, self.w1b1)
-        # the same elementwise max as against 0.0; numpy's array-array loop
-        # runs faster than its array-scalar one
-        np.maximum(hidden, _zeros(hidden.shape), out=hidden)
-        q = np.matmul(hidden, self.w2)
-        q += self.b2
-        return x, hidden, q
-
-
-class QNetwork:
-    """Linear -> ReLU -> linear; five action values out, no output activation.
-
-    All parameters live in one flat float64 vector, theta: w1, b1, w2, b2,
-    each row-major, which is exactly the network.bin body. theta is one row
-    of a QPair, pair: a new network is row 0, and its clone(), the target,
-    is row 1. The four names are views of theta, and so are the plain
-    attributes _w1, _b1, _w2 and _b2 that the single-observation pass reads:
-    assignment copies into the views, so neither form goes stale. forward
-    and act read theta in float64; only the learner's batch pass reads the
-    pair's float32 mirror. Since b1
-    directly follows w1, theta's head is also the stacked (in + 1, hidden)
-    matrix [w1; b1]: a batch row ending in 1.0 times it is x @ w1 + b1.
-    Weights initialize from Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)],
-    biases from zero. Without an rng all parameters start at zero.
-    """
-
-    w1 = _param("w1")
-    b1 = _param("b1")
-    w2 = _param("w2")
-    b2 = _param("b2")
-
-    def __init__(self, input_size: int = OBSERVATION_SIZE,
-                 hidden_size: int = 128, output_size: int = NUM_ACTIONS,
-                 rng: Optional[Rng] = None):
-        self._bind(QPair(input_size, hidden_size, output_size), 0)
-        if rng is not None:
-            bound1 = 1.0 / np.sqrt(input_size)
-            bound2 = 1.0 / np.sqrt(hidden_size)
-            self.w1 = rng.uniform(-bound1, bound1, (input_size, hidden_size))
-            self.w2 = rng.uniform(-bound2, bound2, (hidden_size, output_size))
-
-    def _bind(self, pair: QPair, row: int) -> None:
-        self.pair, self.row = pair, row
-        self.input_size, self.hidden_size, self.output_size = pair.sizes
-        self.theta = pair.params[row]
-        # the views the properties return, read without the property call
-        self._w1, self._b1, self._w2, self._b2 = self.named(self.theta).values()
-
     def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Views of a vector laid out as theta, by parameter name."""
-        w1b1, w2, b2 = self.pair.blocks(flat)
+        w1b1, w2, b2 = self.blocks(flat)
         return {"w1": w1b1[:-1], "b1": w1b1[-1], "w2": w2, "b2": b2}
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
@@ -229,30 +203,39 @@ class QNetwork:
         q += self._b2
         return q
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return self.named(self.theta)
+    def stacked_forward(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Both rows of params in float32: rows[r], B replay rows each ending
+        in the bias input 1.0, through the network on row r. Returns the rows
+        as float32 (2, B, in + 1), the hidden layers (2, B, hidden) and the
+        Q-values (2, B, out)."""
+        self.mirror[...] = self.params
+        x = rows.astype(np.float32)
+        hidden = np.matmul(x, self.mirror_w1b1)
+        # the same elementwise max as against 0.0; numpy's array-array loop
+        # runs faster than its array-scalar one
+        np.maximum(hidden, _zeros(hidden.shape), out=hidden)
+        q = np.matmul(hidden, self.mirror_w2)
+        q += self.mirror_b2
+        return x, hidden, q
 
     def clone(self) -> "QNetwork":
-        """The target network: row 1 of this network's pair, set to a
-        bitwise copy of row 0. Only a row-0 network has one."""
-        if self.row != 0:
-            raise ValueError("clone() of a target network: it has no row 1")
-        target = QNetwork.__new__(QNetwork)
-        target._bind(self.pair, 1)
-        sync_target(self, target)
-        return target
+        """An independent network whose params, both rows, are a bitwise
+        copy of this one's."""
+        twin = QNetwork(*self.sizes)
+        np.copyto(twin.params, self.params)
+        return twin
 
 
-def sync_target(est_net: QNetwork, target_net: QNetwork) -> None:
-    """Copy estimation parameters into the target network (bitwise)."""
-    np.copyto(target_net.theta, est_net.theta)
+def sync_target(net: QNetwork) -> None:
+    """Copy the estimation parameters into the target row (bitwise)."""
+    np.copyto(net.target_theta, net.theta)
 
 
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with strict FIFO eviction.
 
     obs and next_obs are rows 0 and 1 of one (2, capacity, in + 1) array, so
-    one take samples both, stacked as QPair.forward runs them. Each stored
+    one take samples both, stacked as QNetwork.stacked_forward runs them. Each stored
     row is the observation followed by a constant 1.0, the bias input of
     [w1; b1], so a sampled batch feeds the forward as it comes, with no
     column appended per step. push writes the 1.0 with its row: rows never
@@ -320,19 +303,17 @@ def act(net: QNetwork, obs: np.ndarray, epsilon: float, rng: Rng) -> Action:
     return _ACTIONS[net._forward(obs).argmax()]
 
 
-def td_targets(batch, target_net: QNetwork, discount: float):
+def td_targets(batch, net: QNetwork, discount: float):
     """y = r + discount * max_a Q_target(s', a); y = r on terminal transitions.
 
     batch is ReplayBuffer.sample()'s (rows, actions, rewards, terminals).
-    target_net is row 1 of its QPair, and the pair's one stacked forward
-    also runs the estimation network, row 0, on the batch's obs. Returns the
-    float32 targets and that forward's row 0, (obs, hidden, q) in float32,
-    as loss_and_gradients takes it.
+    net's one stacked forward runs its target row on the batch's next_obs
+    and its estimation row on the batch's obs. Returns the float32 targets
+    and that forward's row 0, (obs, hidden, q) in float32, as
+    loss_and_gradients takes it.
     """
-    if target_net.row != 1:
-        raise ValueError("td_targets: target_net must be a clone(), row 1")
     rows, _, rewards, terminals = batch
-    x, hidden, q = target_net.pair.forward(rows)
+    x, hidden, q = net.stacked_forward(rows)
     # max is exact, so reducing down the contiguous transpose equals
     # q.max(axis=1) at a lower call cost
     targets = np.maximum.reduce(np.ascontiguousarray(q[1].T), axis=0)
@@ -344,14 +325,13 @@ def td_targets(batch, target_net: QNetwork, discount: float):
 
 
 def loss_and_gradients(net: QNetwork, actions: np.ndarray,
-                       targets: np.ndarray, forward, grad_blocks) -> float:
+                       targets: np.ndarray, forward) -> float:
     """Mean squared TD error on the taken actions; its analytic gradient
-    goes into grad_blocks, all in float32.
+    goes into net.grad, all in float32.
 
-    forward is net's (obs, hidden, q) from its pair's forward, where the obs
-    rows end in the bias input 1.0. grad_blocks are the QPair.blocks() views
-    of a float32 vector laid out as net.theta, which the caller owns: every
-    entry is overwritten.
+    forward is row 0 of net's stacked_forward, (obs, hidden, q), where the
+    obs rows end in the bias input 1.0. Every entry of net.grad is
+    overwritten.
     """
     obs, hidden, q = forward
     batch = obs.shape[0]
@@ -362,12 +342,12 @@ def loss_and_gradients(net: QNetwork, actions: np.ndarray,
 
     dq = np.zeros(q.shape, np.float32)
     dq[rows, actions] = 2.0 * err / batch
-    w1b1_grad, w2_grad, b2_grad = grad_blocks
+    w1b1_grad, w2_grad, b2_grad = net.grad_blocks
     # np.dot, not np.matmul: the same gemm at a lower dispatch cost
     np.dot(hidden.T, dq, out=w2_grad)
     np.add.reduce(dq, axis=0, out=b2_grad)
     # w2 as the forward read it, from the mirror
-    dz1 = dq @ net.pair.w2[net.row].T
+    dz1 = dq @ net.mirror_w2[0].T
     # hidden > 0 exactly where the pre-activation is > 0 (NaN in neither)
     dz1 *= hidden > 0.0
     # the bias column makes the last row of this product dz1's column sum,
@@ -376,24 +356,19 @@ def loss_and_gradients(net: QNetwork, actions: np.ndarray,
     return loss
 
 
-def train_step(est_net: QNetwork, target_net: QNetwork, buffer: ReplayBuffer,
-               hp: Hyperparameters, rng: Rng) -> Optional[float]:
-    """One SGD step on a sampled minibatch; None while the buffer is
-    underfull. target_net must be est_net.clone(): the step reads both rows
-    of their pair at once."""
-    pair = est_net.pair
-    if target_net.pair is not pair or est_net.row != 0:
-        raise ValueError("train_step: target_net must be est_net.clone()")
+def train_step(net: QNetwork, buffer: ReplayBuffer, hp: Hyperparameters,
+               rng: Rng) -> Optional[float]:
+    """One SGD step of net's estimation row on a sampled minibatch, against
+    TD targets from its target row; None while the buffer is underfull."""
     if len(buffer) < hp.batch_size:
         return None
     batch = buffer.sample(hp.batch_size, rng)
-    targets, forward = td_targets(batch, target_net, hp.discount)
-    loss = loss_and_gradients(est_net, batch[1], targets, forward,
-                              pair.grad_blocks)
-    grad = pair.grad
+    targets, forward = td_targets(batch, net, hp.discount)
+    loss = loss_and_gradients(net, batch[1], targets, forward)
+    grad = net.grad
     grad *= hp.learning_rate
     # the float32 step lands in the float64 master weights
-    est_net.theta -= grad
+    net.theta -= grad
     return loss
 
 
@@ -428,33 +403,32 @@ def train(env: ShardEnv, hp: Hyperparameters, rng: Rng,
           ) -> tuple[QNetwork, list[TrainRow]]:
     """Full training loop: one episode per epoch, one gradient step per round.
 
-    The target network re-syncs every hp.target_sync_interval gradient steps.
-    Returns the trained estimation network and the per-epoch reward rows.
+    The target row re-syncs every hp.target_sync_interval gradient steps.
+    Returns the trained network and the per-epoch reward rows.
     """
-    est = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
-    target = est.clone()
+    net = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
     buffer = ReplayBuffer(hp.buffer_capacity)
     epsilons = [epsilon_for_epoch(hp, epoch) for epoch in range(hp.epochs)]
     grad_steps = itertools.count(1)  # numbers gradient steps across epochs
     losses, mean_losses = [], []  # this epoch's losses; each epoch's mean
 
     def play(epoch, obs):
-        action = act(est, obs, epsilons[epoch], rng)
+        action = act(net, obs, epsilons[epoch], rng)
         result = env.step(action, rng)
         next_obs, reward, terminal, _ = result
         buffer.push(obs, int(action), reward, next_obs, terminal)
-        loss = train_step(est, target, buffer, hp, rng)
+        loss = train_step(net, buffer, hp, rng)
         if loss is not None:
             losses.append(loss)
             if next(grad_steps) % hp.target_sync_interval == 0:
-                sync_target(est, target)
+                sync_target(net)
         if terminal:
             mean_losses.append(float(np.mean(losses)) if losses else 0.0)
             losses.clear()
         return result
 
     means = run_episodes(env, hp.epochs, rng, play)
-    return est, list(map(TrainRow, range(hp.epochs), means, epsilons,
+    return net, list(map(TrainRow, range(hp.epochs), means, epsilons,
                          mean_losses))
 
 
@@ -497,4 +471,5 @@ def load_network(path) -> QNetwork:
             raise ValueError(f"network file has {body - needed} trailing bytes")
         net = QNetwork(*sizes)
         net.theta[:] = np.frombuffer(fh.read(needed), dtype="<f8")
+    sync_target(net)
     return net

@@ -11,20 +11,20 @@ OBS = 8
 
 
 def loss_and_fresh_gradient(net, obs, actions, targets):
-    """loss_and_gradients for net alone, into a float32 gradient vector of
-    its own; the forward is row 0 of net's stacked pair pass, with obs on
-    both rows, and the targets enter as float32, as td_targets gives them."""
-    x, hidden, q = net.pair.forward(np.stack([obs, obs]))
-    grad = np.empty(net.theta.shape, np.float32)
+    """loss_and_gradients for net alone, and a copy of the float32 gradient
+    it leaves in net.grad; the forward is row 0 of net's stacked pass, with
+    obs on both rows, and the targets enter as float32, as td_targets gives
+    them."""
+    x, hidden, q = net.stacked_forward(np.stack([obs, obs]))
     loss = loss_and_gradients(net, actions, targets.astype(np.float32),
-                              (x[0], hidden[0], q[0]), net.pair.blocks(grad))
-    return loss, grad
+                              (x[0], hidden[0], q[0]))
+    return loss, net.grad.copy()
 
 
 def numeric_gradients(net, obs, actions, targets, h=1e-5):
     """Central finite differences over every parameter, of the float64
     reference loss: no float32 rounding and no analytic backward pass."""
-    params = net.parameters()
+    params = net.named(net.theta)
     grads = {}
     for name, param in params.items():
         grad = np.zeros_like(param)

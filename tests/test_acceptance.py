@@ -112,24 +112,23 @@ def test_criterion_4_dqn_correctness():
     gradients_ok = worst < 1e-4
 
     rng = Rng(50)
-    est = QNetwork(8, 16, 5, rng)
-    # the target is est's twin in their pair; it starts from other weights,
-    # so the sync has something to copy
-    target = est.clone()
-    target.theta[:] = QNetwork(8, 16, 5, rng).theta
-    sync_target(est, target)
-    sync_ok = all(np.array_equal(v, target.parameters()[k])
-                  for k, v in est.parameters().items())
-    frozen = {k: v.copy() for k, v in target.parameters().items()}
+    net = QNetwork(8, 16, 5, rng)
+    # the target row starts from other weights, so the sync has something
+    # to copy
+    net.target_theta[:] = QNetwork(8, 16, 5, rng).theta
+    sync_target(net)
+    target = net.named(net.target_theta)
+    sync_ok = all(np.array_equal(v, target[k])
+                  for k, v in net.named(net.theta).items())
+    frozen = {k: v.copy() for k, v in target.items()}
     buffer = ReplayBuffer(64, obs_size=8)
     for i in range(16):
         buffer.push(rng.uniform(0, 1, 8), i % 5, 1.0, rng.uniform(0, 1, 8),
                     False)
     hp = Hyperparameters(batch_size=8)
     for _ in range(25):
-        train_step(est, target, buffer, hp, rng)
-    frozen_ok = all(np.array_equal(v, frozen[k])
-                    for k, v in target.parameters().items())
+        train_step(net, buffer, hp, rng)
+    frozen_ok = all(np.array_equal(v, frozen[k]) for k, v in target.items())
 
     fifo = ReplayBuffer(100, obs_size=2)
     for i in range(250):

@@ -252,11 +252,25 @@ class TestCmdTrain:
             != (out_b / "rewards.csv").read_bytes()
 
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("[agent]\ndiscount = 1.5\n")
-        code = cli.main(["train", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "discount" in capsys.readouterr().err
+        # a value out of range, then five files configparser cannot read as
+        # they stand: a key twice, a section twice, no section header, a
+        # line without "=", and a %-interpolation, which is read literally
+        cases = [("[agent]\ndiscount = 1.5\n", "discount"),
+                 ("[agent]\nepochs = 3\nepochs = 4\n",
+                  "agent.epochs: given twice"),
+                 ("[agent]\nepochs = 3\n[agent]\nbatch_size = 4\n",
+                  "agent: section given twice"),
+                 ("epochs = 3\n", "line 1: 'epochs = 3'"),
+                 ("[agent]\nepochs\n", "line 2: 'epochs\\n'"),
+                 ("[network]\nseed = %(x)s\n",
+                  "network.seed: cannot parse '%(x)s' as int")]
+        for i, (text, named) in enumerate(cases):
+            path, out = tmp_path / f"bad{i}.cfg", tmp_path / f"o{i}"
+            path.write_text(text)
+            code = cli.main(["train", str(path), "--out", str(out)])
+            assert code == 2, text
+            assert named in capsys.readouterr().err, text
+            assert not out.exists(), text
 
     def test_walk_wider_than_rng_serves_exits_2_naming_key(self, tmp_path,
                                                            capsys):
@@ -364,14 +378,16 @@ class TestCmdSweep:
                 "--grid", "nodes=60;rates=60;seeds=3"]
         assert cli.main(args) == 0
         first = (out / "sweep.csv").read_bytes()
-        # a run killed while writing leaves a manifest cut short
+        # a run killed while writing leaves a manifest cut short; one that
+        # is JSON but not an object is as unreadable
         manifest = out / "cells" / "n60_r60000000_s3_adaptive" / "manifest.json"
-        manifest.write_text(manifest.read_text()[:40])
-        (manifest.parent / "rewards.csv").write_text(
-            "epoch,mean_reward,epsilon,mean_loss\n0,123.5,0.1,0.0\n")
-        assert cli.main(args) == 0
-        assert "config_hash" in read_manifest(manifest)
-        assert (out / "sweep.csv").read_bytes() == first
+        for text in (manifest.read_text()[:40], "[]", "null"):
+            manifest.write_text(text)
+            (manifest.parent / "rewards.csv").write_text(
+                "epoch,mean_reward,epsilon,mean_loss\n0,123.5,0.1,0.0\n")
+            assert cli.main(args) == 0, text
+            assert "config_hash" in read_manifest(manifest), text
+            assert (out / "sweep.csv").read_bytes() == first, text
 
     def test_resume_recomputes_cell_cut_off_before_its_manifest(
             self, tmp_path, monkeypatch):

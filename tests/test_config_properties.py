@@ -94,7 +94,6 @@ def test_constructible_configs_run(cfg, hp):
     rng = Rng(cfg.seed)
     env = ShardEnv(cfg)
     net = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
-    target = net.clone()
     buffer = ReplayBuffer(hp.buffer_capacity)
     # at least one whole episode, and at least batch_size pushes
     for pushes in range(1, max(cfg.rounds_per_episode, hp.batch_size) + 1):
@@ -105,7 +104,7 @@ def test_constructible_configs_run(cfg, hp):
         assert math.isfinite(reward) and reward > 0.0
         buffer.push(obs, int(action), reward, next_obs, terminal)
         obs = next_obs
-        loss = train_step(net, target, buffer, hp, rng)
+        loss = train_step(net, buffer, hp, rng)
         if pushes < hp.batch_size:
             assert loss is None
         else:

@@ -21,10 +21,12 @@ OBS = 8
 
 
 def toy_net(b2=None):
-    """All-zero network; Q equals whatever bias is written into layer 2."""
+    """All-zero network; Q equals whatever bias is written into layer 2,
+    which is synced into the target row."""
     net = QNetwork(OBS, 4, 5)
     if b2 is not None:
         net.b2 = np.array(b2, dtype=float)
+        sync_target(net)
     return net
 
 
@@ -104,37 +106,36 @@ def zero_obs_bundle(actions, rewards, terminals):
 
 class TestTdTargets:
     def test_bootstrap_value(self):
-        target = toy_net([2.0, 0.0, 0.0, 0.0, 0.0]).clone()
+        net = toy_net([2.0, 0.0, 0.0, 0.0, 0.0])
         batch = zero_obs_bundle([0], [1.0], [False])
-        assert td_targets(batch, target, 0.98)[0] == pytest.approx([2.96])
+        assert td_targets(batch, net, 0.98)[0] == pytest.approx([2.96])
 
     def test_terminal_uses_raw_reward(self):
-        target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0]).clone()
+        net = toy_net([5.0, 0.0, 0.0, 0.0, 0.0])
         batch = zero_obs_bundle([0], [0.5], [True])
-        assert td_targets(batch, target, 0.98)[0] == pytest.approx([0.5])
+        assert td_targets(batch, net, 0.98)[0] == pytest.approx([0.5])
 
     def test_zero_discount_degenerates_to_reward(self):
-        target = toy_net([5.0, 0.0, 0.0, 0.0, 0.0]).clone()
+        net = toy_net([5.0, 0.0, 0.0, 0.0, 0.0])
         batch = zero_obs_bundle([0, 1], [0.7, -0.2], [False, True])
-        assert td_targets(batch, target, 0.0)[0] == pytest.approx([0.7, -0.2])
+        assert td_targets(batch, net, 0.0)[0] == pytest.approx([0.7, -0.2])
 
     def test_one_pass_gives_each_network_its_own_rows(self):
-        # row 0 of the pair runs on obs, row 1 on next_obs; after a step the
-        # rows differ, so a crossed stack would show
+        # row 0 of params runs on obs, row 1 on next_obs; after a write to
+        # row 0 the rows differ, so a crossed stack would show
         rng = Rng(6)
-        est = QNetwork(OBS, 16, 5, rng)
-        target = est.clone()
-        est.w2 = rng.uniform(-1, 1, (16, 5))
+        net = QNetwork(OBS, 16, 5, rng)
+        net.w2 = rng.uniform(-1, 1, (16, 5))
         obs, next_obs = random_obs(rng, 3), random_obs(rng, 3)
         rows = np.ones((2, 3, OBS + 1))
         rows[0, :, :-1], rows[1, :, :-1] = obs, next_obs
         batch = (rows, np.array([0, 1, 2]), np.zeros(3),
                  np.zeros(3, dtype=bool))
-        targets, (x, hidden, q) = td_targets(batch, target, 0.5)
-        # each against a plain float32 pass on its network's float32 weights
+        targets, (x, hidden, q) = td_targets(batch, net, 0.5)
+        # each against a plain float32 pass on its row's float32 weights
         obs, next_obs = obs.astype(np.float32), next_obs.astype(np.float32)
-        est32 = float32_params(est.parameters())
-        target32 = float32_params(target.parameters())
+        est32 = float32_params(net.named(net.theta))
+        target32 = float32_params(net.named(net.target_theta))
         assert np.array_equal(
             targets, 0.5 * reference_forward(target32, next_obs).max(axis=1))
         assert np.array_equal(x, rows[0].astype(np.float32))
@@ -142,10 +143,6 @@ class TestTdTargets:
         assert np.array_equal(hidden,
                               np.maximum(obs @ est32["w1"] + est32["b1"], 0.0))
         assert targets.dtype == q.dtype == hidden.dtype == np.float32
-
-    def test_row_zero_network_rejected(self):
-        with pytest.raises(ValueError, match="clone"):
-            td_targets(zero_obs_bundle([0], [1.0], [False]), toy_net(), 0.98)
 
 
 class TestBatchConstants:
@@ -155,9 +152,8 @@ class TestBatchConstants:
         net = toy_net([1.0, 5.0, 3.0, 2.0, 0.0])
         batch = zero_obs_bundle([0, 3, 4], [1.0, 0.5, -0.2],
                                 [False, True, False])
-        targets, forward = td_targets(batch, net.clone(), 0.98)
-        dqn.loss_and_gradients(net, batch[1], targets, forward,
-                               net.pair.grad_blocks)
+        targets, forward = td_targets(batch, net, 0.98)
+        dqn.loss_and_gradients(net, batch[1], targets, forward)
         zeros, rows = dqn._zeros((2, 3, net.hidden_size)), dqn._row_index(3)
         assert zeros is dqn._zeros((2, 3, net.hidden_size))
         assert zeros.dtype == np.float32
@@ -185,26 +181,23 @@ class TestGradients:
 class TestTrainStep:
     def test_underfull_buffer_leaves_networks_unchanged(self):
         hp = Hyperparameters(batch_size=64)
-        est = QNetwork(OBS, 8, 5, Rng(1))
-        target = est.clone()
-        before = {k: v.copy() for k, v in est.parameters().items()}
+        net = QNetwork(OBS, 8, 5, Rng(1))
+        before = net.params.copy()
         buffer = ReplayBuffer(100, obs_size=OBS)
         for i in range(63):
             buffer.push(np.zeros(OBS), 0, 0.0, np.zeros(OBS), True)
-        assert train_step(est, target, buffer, hp, Rng(0)) is None
-        for k, v in est.parameters().items():
-            assert np.array_equal(v, before[k])
+        assert train_step(net, buffer, hp, Rng(0)) is None
+        assert np.array_equal(net.params, before)
 
     def test_single_transition_convergence(self):
         hp = Hyperparameters(batch_size=1)
         rng = Rng(7)
-        est = QNetwork(OBS, 128, 5, rng)
-        target = est.clone()  # frozen: never re-synced
+        net = QNetwork(OBS, 128, 5, rng)  # target frozen: never re-synced
         buffer = ReplayBuffer(10, obs_size=OBS)
         buffer.push(random_obs(Rng(3)), 2, 1.0, random_obs(Rng(4)), True)
         loss = None
         for step in range(500):
-            loss = train_step(est, target, buffer, hp, rng)
+            loss = train_step(net, buffer, hp, rng)
             if loss is not None and loss < 1e-3:
                 break
         assert loss is not None and loss < 1e-3
@@ -212,43 +205,47 @@ class TestTrainStep:
 
 class TestSyncTarget:
     def test_forward_equal_after_sync(self):
-        est = QNetwork(OBS, 32, 5, Rng(5))
-        target = QNetwork(OBS, 32, 5, Rng(6))
-        sync_target(est, target)
-        rng = Rng(7)
-        for _ in range(100):
-            x = random_obs(rng)
-            assert np.array_equal(est.forward(x), target.forward(x))
+        net = QNetwork(OBS, 32, 5, Rng(5))
+        net.target_theta[:] = QNetwork(OBS, 32, 5, Rng(6)).theta
+        rows = np.ones((100, OBS + 1))
+        rows[:, :-1] = random_obs(Rng(7), 100)
+        rows = np.stack([rows, rows])  # the same inputs on both rows
+        _, _, q = net.stacked_forward(rows)
+        assert not np.array_equal(q[0], q[1])
+        sync_target(net)
+        assert net.target_theta.tobytes() == net.theta.tobytes()
+        _, _, q = net.stacked_forward(rows)
+        assert np.array_equal(q[0], q[1])
 
     def test_target_frozen_between_syncs(self):
         hp = Hyperparameters(batch_size=4)
         rng = Rng(9)
-        est = QNetwork(OBS, 16, 5, rng)
-        target = est.clone()
-        frozen = {k: v.copy() for k, v in target.parameters().items()}
+        net = QNetwork(OBS, 16, 5, rng)
+        frozen = {k: v.copy()
+                  for k, v in net.named(net.target_theta).items()}
         buffer = ReplayBuffer(100, obs_size=OBS)
         for i in range(10):
             buffer.push(random_obs(rng), i % 5, 1.0, random_obs(rng), False)
         for _ in range(9):
-            assert train_step(est, target, buffer, hp, rng) is not None
-        for k, v in target.parameters().items():
+            assert train_step(net, buffer, hp, rng) is not None
+        for k, v in net.named(net.target_theta).items():
             assert np.array_equal(v, frozen[k])
-        assert not np.array_equal(est.w2, frozen["w2"])
+        assert not np.array_equal(net.w2, frozen["w2"])
 
     def test_training_loop_syncs_every_interval(self, monkeypatch):
         calls = []
         real_sync = dqn.sync_target
 
-        def counting_sync(est, target):
+        def counting_sync(net):
             calls.append(1)
-            real_sync(est, target)
+            real_sync(net)
 
         monkeypatch.setattr(dqn, "sync_target", counting_sync)
         cfg = NetworkConfig(rounds_per_episode=25)
         hp = Hyperparameters(batch_size=4, epochs=1, target_sync_interval=10)
         env = ShardEnv(cfg, frozen_exogenous=(1e7, 20.0))
         train(env, hp, Rng(1))
-        # one clone() sync at setup, then gradient steps 10 and 20
+        # one sync as the network is built, then gradient steps 10 and 20
         grad_steps = 25 - hp.batch_size + 1
         assert len(calls) - 1 == grad_steps // hp.target_sync_interval
 
@@ -269,9 +266,8 @@ class TestSameBitsAsReference:
         # from the same parameters and sampling stream on both sides
         hp = Hyperparameters(hidden_units=hidden, batch_size=batch,
                              buffer_capacity=capacity)
-        est = QNetwork(OBSERVATION_SIZE, hidden, 5, Rng(8))
-        target = est.clone()
-        ref_est = {k: v.copy() for k, v in est.parameters().items()}
+        net = QNetwork(OBSERVATION_SIZE, hidden, 5, Rng(8))
+        ref_est = {k: v.copy() for k, v in net.named(net.theta).items()}
         ref_target = {k: v.copy() for k, v in ref_est.items()}
         buffer = ReplayBuffer(hp.buffer_capacity)
         rng, ref_rng, env_rng = Rng(9), Rng(9), Rng(10)
@@ -279,21 +275,22 @@ class TestSameBitsAsReference:
         obs = env.reset(env_rng)
         steps = 0
         while steps < 300:
-            assert np.array_equal(est.forward(obs),
+            assert np.array_equal(net.forward(obs),
                                   reference_forward(ref_est, obs))
-            action = act(est, obs, hp.epsilon, env_rng)
+            action = act(net, obs, hp.epsilon, env_rng)
             next_obs, reward, terminal, _ = env.step(action, env_rng)
             buffer.push(obs, int(action), reward, next_obs, terminal)
-            loss = train_step(est, target, buffer, hp, rng)
+            loss = train_step(net, buffer, hp, rng)
             assert loss == reference_train_step(ref_est, ref_target, buffer,
                                                 hp, ref_rng)
             if loss is not None:
                 steps += 1
                 if steps % hp.target_sync_interval == 0:
-                    sync_target(est, target)
+                    sync_target(net)
                     ref_target = {k: v.copy() for k, v in ref_est.items()}
-            for net, ref in ((est, ref_est), (target, ref_target)):
-                for k, v in net.parameters().items():
+            for flat, ref in ((net.theta, ref_est),
+                              (net.target_theta, ref_target)):
+                for k, v in net.named(flat).items():
                     assert np.array_equal(v, ref[k]), k
             obs = env.reset(env_rng) if terminal else next_obs
 
@@ -341,7 +338,6 @@ class TestFlatParameters:
                 "b2": np.arange(b2_at, b2_at + o)}
         sources = {"property": {k: getattr(net, k) for k in want},
                    "plain": {k: getattr(net, "_" + k) for k in want},
-                   "parameters": net.parameters(),
                    "named": net.named(net.theta)}
         for source, views in sources.items():
             assert list(views) == list(want), source
@@ -349,43 +345,35 @@ class TestFlatParameters:
                 assert view.shape == want[k].shape, (source, k)
                 assert np.array_equal(view, want[k]), (source, k)
                 assert np.shares_memory(view, net.theta), (source, k)
-        # theta's blocks, and the stacked blocks the pair's forward reads,
+        # theta's blocks, and the stacked blocks the stacked forward reads,
         # at theta's row of the float32 mirror once a forward refreshed it
         block_want = (np.arange(w2_at).reshape(i + 1, h), want["w2"],
                       want["b2"])
-        pair, row = net.pair, net.row
-        pair.forward(np.ones((2, 1, i + 1)))
-        for views, source in ((pair.blocks(net.theta), net.theta),
-                              ((pair.w1b1[row], pair.w2[row], pair.b2[row, 0]),
-                               pair.mirror[row])):
+        net.stacked_forward(np.ones((2, 1, i + 1)))
+        mirror = (net.mirror_w1b1[0], net.mirror_w2[0], net.mirror_b2[0, 0])
+        for views, source in ((net.blocks(net.theta), net.theta),
+                              (mirror, net.mirror[0])):
             for view, expected in zip(views, block_want):
                 assert view.shape == expected.shape
                 assert np.array_equal(view, expected)
                 assert np.shares_memory(view, source)
 
     @pytest.mark.parametrize("dims", [(OBS, 16, 5), (1, 1, 1), (3, 7, 2)])
-    def test_clone_is_row_one_of_the_same_pair(self, dims):
-        est = QNetwork(*dims, rng=Rng(2))
-        target = est.clone()
-        assert (est.row, target.row) == (0, 1) and target.pair is est.pair
-        assert np.array_equal(target.theta, est.theta)
-        assert np.shares_memory(target.theta, est.pair.params)
-        assert not np.shares_memory(target.theta, est.theta)
+    def test_clone_is_an_independent_copy(self, dims):
+        net = QNetwork(*dims, rng=Rng(2))
+        # rows that differ, so a copy of one row into both would show
+        net.target_theta[:] = QNetwork(*dims, rng=Rng(3)).theta
+        twin = net.clone()
+        assert twin.sizes == net.sizes
+        assert twin.params.tobytes() == net.params.tobytes()
+        for mine, theirs in ((twin.params, net.params),
+                             (twin.mirror, net.mirror), (twin.grad, net.grad)):
+            assert not np.shares_memory(mine, theirs)
         for name in ("w1", "b1", "w2", "b2"):
-            assert np.shares_memory(getattr(target, name), target.theta)
-        with pytest.raises(ValueError, match="target"):
-            target.clone()
-
-    def test_step_rejects_a_target_from_another_pair(self):
-        hp = Hyperparameters(batch_size=4)
-        est = QNetwork(OBS, 16, 5, Rng(4))
-        stranger = QNetwork(OBS, 16, 5).clone()
-        buffer = ReplayBuffer(10, obs_size=OBS)
-        for i in range(4):
-            buffer.push(np.zeros(OBS), i, 1.0, np.zeros(OBS), False)
-        for est_net, target_net in ((est, stranger), (est.clone(), est)):
-            with pytest.raises(ValueError, match="clone"):
-                train_step(est_net, target_net, buffer, hp, Rng(0))
+            assert np.shares_memory(getattr(twin, name), twin.theta)
+        before = net.params.copy()
+        twin.params += 1.0
+        assert np.array_equal(net.params, before)
 
     @pytest.mark.parametrize("dims", [(OBS, 16, 5), (1, 1, 1), (3, 7, 2)])
     def test_network_bin_body_is_theta_to_the_byte(self, tmp_path, dims):
@@ -403,57 +391,54 @@ class TestFlatParameters:
     def test_step_after_sync_leaves_target_theta(self):
         hp = Hyperparameters(batch_size=4)
         rng = Rng(4)
-        est = QNetwork(OBS, 16, 5, rng)
-        target = est.clone()
-        frozen = target.theta.copy()
+        net = QNetwork(OBS, 16, 5, rng)
+        frozen = net.target_theta.copy()
         buffer = ReplayBuffer(10, obs_size=OBS)
         for i in range(4):
             buffer.push(random_obs(rng), i, 1.0, random_obs(rng), False)
-        assert train_step(est, target, buffer, hp, rng) is not None
-        assert np.array_equal(target.theta, frozen)
-        assert not np.array_equal(est.theta, frozen)
+        assert train_step(net, buffer, hp, rng) is not None
+        assert np.array_equal(net.target_theta, frozen)
+        assert not np.array_equal(net.theta, frozen)
 
 
 class TestFloat32Mirror:
     # the batch path reads a float32 mirror of the float64 master weights;
     # after any write to them, the next batch forward must read the new ones
-    def write(self, how, est, target, tmp_path):
-        """Apply one write path; return the (estimation, target) pair of
-        networks whose batch forward is checked next."""
+    def write(self, how, net, tmp_path):
+        """Apply one write path; return the network whose batch forward is
+        checked next."""
         rng = Rng(12)
         if how == "setter":
-            est.w2 = rng.uniform(-1, 1, (16, 5))
+            net.w2 = rng.uniform(-1, 1, (16, 5))
         elif how == "load_network":
             trained = QNetwork(OBS, 16, 5, rng)
             save_network(trained, tmp_path / "net.bin")
-            loaded = load_network(tmp_path / "net.bin")
-            return loaded, loaded.clone()
+            return load_network(tmp_path / "net.bin")
         elif how == "sync_target":
-            # est moves first, so the sync writes new weights into row 1
-            est.w2 = rng.uniform(-1, 1, (16, 5))
-            est.pair.forward(np.ones((2, 1, OBS + 1)))
-            sync_target(est, target)
+            # row 0 moves first, so the sync writes new weights into row 1
+            net.w2 = rng.uniform(-1, 1, (16, 5))
+            net.stacked_forward(np.ones((2, 1, OBS + 1)))
+            sync_target(net)
         else:
             buffer = ReplayBuffer(10, obs_size=OBS)
             for i in range(4):
                 buffer.push(random_obs(rng), i, 1.0, random_obs(rng), False)
-            assert train_step(est, target, buffer,
-                              Hyperparameters(batch_size=4), rng) is not None
-        return est, target
+            assert train_step(net, buffer, Hyperparameters(batch_size=4),
+                              rng) is not None
+        return net
 
     @pytest.mark.parametrize("how", ["setter", "load_network", "sync_target",
                                      "train_step"])
     def test_next_batch_forward_reads_the_current_weights(self, how,
                                                           tmp_path):
-        est = QNetwork(OBS, 16, 5, Rng(11))
-        target = est.clone()
+        net = QNetwork(OBS, 16, 5, Rng(11))
         rows = np.ones((2, 6, OBS + 1))
         rows[..., :-1] = Rng(13).uniform(0.0, 1.0, (2, 6, OBS))
-        est.pair.forward(rows)  # the mirror as of before the write
-        est, target = self.write(how, est, target, tmp_path)
-        _, _, q = est.pair.forward(rows)
-        for r, net in enumerate((est, target)):
-            want = reference_forward(float32_params(net.parameters()),
+        net.stacked_forward(rows)  # the mirror as of before the write
+        net = self.write(how, net, tmp_path)
+        _, _, q = net.stacked_forward(rows)
+        for r, flat in enumerate((net.theta, net.target_theta)):
+            want = reference_forward(float32_params(net.named(flat)),
                                      rows[r, :, :-1].astype(np.float32))
             assert np.array_equal(q[r], want), r
 
@@ -543,14 +528,13 @@ class TestRewardScalingInvariance:
         def retrain(scale):
             hp = Hyperparameters(batch_size=50, learning_rate=0.05)
             est = QNetwork(OBS, 64, 5, Rng(33))
-            target = est.clone()
             buffer = ReplayBuffer(64, obs_size=OBS)
             for s, a in itertools.product(range(10), range(5)):
                 buffer.push(states[s], a, scale * rewards[s, a], states[s],
                             True)
             sample_rng = Rng(44)
             for _ in range(4000):
-                loss = train_step(est, target, buffer, hp, sample_rng)
+                loss = train_step(est, buffer, hp, sample_rng)
             assert loss < 1e-2 * scale ** 2
             return est
 
@@ -569,8 +553,10 @@ class TestSerialization:
         path = tmp_path / "net.bin"
         save_network(net, path)
         loaded = load_network(path)
-        for k, v in net.parameters().items():
-            assert np.array_equal(loaded.parameters()[k], v)
+        for k, v in net.named(net.theta).items():
+            assert np.array_equal(loaded.named(loaded.theta)[k], v)
+        # the target row starts as a copy of the loaded weights
+        assert loaded.target_theta.tobytes() == loaded.theta.tobytes()
         assert (loaded.input_size, loaded.hidden_size, loaded.output_size) \
             == (OBS, 32, 5)
 
@@ -652,8 +638,7 @@ class TestTraining:
         net_a, rows_a = self._smoke()
         net_b, rows_b = self._smoke()
         assert rows_a == rows_b
-        for k, v in net_a.parameters().items():
-            assert np.array_equal(net_b.parameters()[k], v)
+        assert net_a.params.tobytes() == net_b.params.tobytes()
 
     def test_rows_and_weights_match_a_written_out_loop(self):
         # decaying epsilon; 10-round epochs against batches of 25, so epochs
@@ -666,7 +651,6 @@ class TestTraining:
 
         rng, env = Rng(7), ShardEnv(cfg)
         est = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
-        target = est.clone()
         buffer = ReplayBuffer(hp.buffer_capacity)
         steps, expected = 0, []
         for epoch in range(hp.epochs):
@@ -677,19 +661,19 @@ class TestTraining:
                 action = act(est, obs, epsilon, rng)
                 next_obs, reward, terminal, _ = env.step(action, rng)
                 buffer.push(obs, int(action), reward, next_obs, terminal)
-                loss = train_step(est, target, buffer, hp, rng)
+                loss = train_step(est, buffer, hp, rng)
                 if loss is not None:
                     losses.append(loss)
                     steps += 1
                     if steps % hp.target_sync_interval == 0:
-                        sync_target(est, target)
+                        sync_target(est)
                 total += reward
                 obs = next_obs
             expected.append(TrainRow(
                 epoch, total / cfg.rounds_per_episode, epsilon,
                 float(np.mean(losses)) if losses else 0.0))
         assert rows == expected
-        assert net.theta.tobytes() == est.theta.tobytes()
+        assert net.params.tobytes() == est.params.tobytes()
         # the fixture reaches what the comments above say it does
         assert [r.mean_loss == 0.0 for r in rows] == [True] * 2 + [False] * 4
         assert len({r.epsilon for r in rows}) == hp.epochs

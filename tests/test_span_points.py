@@ -58,7 +58,7 @@ def test_traced_call_sites_stay_on_the_training_path(monkeypatch):
               hp, core.Rng(1))
     grad_steps = rounds - hp.batch_size + 1
     assert calls.pop("clamp_sharding") >= rounds
-    # one sync as clone() sets the target up, then one per interval
+    # one sync as QNetwork() sets the target up, then one per interval
     assert calls == {"act": rounds, "push": rounds, "train_step": rounds,
                      "sample": grad_steps, "td_targets": grad_steps,
                      "loss_and_gradients": grad_steps,
