@@ -25,6 +25,11 @@ only on the cells line.
 The two plain `train` runs, and the three `sweep` runs, must print equal
 digests: within one checkout that shows determinism and a byte-identical
 resume, also when the outputs moved on purpose. A run takes a few seconds.
+
+Three "# " lines come first and name what the float32 gemms' bits depend
+on: the numpy version, the BLAS build numpy reports, and the CPU model.
+tests/output_digests.txt holds this script's output as committed, and
+tests/test_output_digests.py compares a fresh run against it.
 """
 
 from __future__ import annotations
@@ -32,11 +37,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 from semshard import cli  # noqa: E402
 
@@ -45,6 +53,23 @@ RING_CFG = TRAIN_CFG + "buffer_capacity = 500\n"
 EDGE_CFG = TRAIN_CFG + "batch_size = 37\nhidden_units = 16\n"
 SWEEP_CFG = "[agent]\nepochs = 6\nepsilon_decay = true\n"
 SWEEP_GRID = "nodes=100,500;rates=60,100;seeds=1,2"
+
+
+def machine() -> list[str]:
+    """The header: numpy's version, its BLAS build and the CPU model."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".rstrip()
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas = "unknown"
+    cpu = platform.processor() or platform.machine()
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    return [f"# numpy {np.__version__}",
+            f"# blas {blas}",
+            f"# cpu {cpu}"]
 
 
 def show(what: str, name: str, data: bytes) -> None:
@@ -62,6 +87,7 @@ def run(argv: list[str]) -> bytes:
 
 
 def main() -> int:
+    print("\n".join(machine()))
     with tempfile.TemporaryDirectory(prefix="semshard-digests-") as tmp:
         tmp = Path(tmp)
         (tmp / "train.cfg").write_text(TRAIN_CFG)

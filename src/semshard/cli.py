@@ -25,10 +25,11 @@ from .config import (DEFAULT_GRID, RunConfig, config_hash, load_config,
                      parse_grid, read_manifest, write_manifest)
 from .core import (ConfigError, Content, InvalidShardingError, NetworkConfig,
                    Rng, VerifierNode, partition)
-from .dqn import (TrainRow, save_network, train, write_training_csv)
+from .dqn import TrainRow, save_network, train
 from .env import ShardEnv, run_baseline
 from .throughput import round_latency, throughput
 
+REWARDS_CSV_HEADER = "epoch,mean_reward,epsilon,mean_loss"
 SWEEP_CSV_HEADER = "nodes,rate_max,seed,policy,epoch,mean_reward"
 
 
@@ -139,8 +140,9 @@ def _write_run(cfg: RunConfig, out: Path, policy: str) -> None:
         else:
             means = run_baseline(cfg.network, cfg.agent.epochs, rng)
             rows = [TrainRow(i, m, 0.0, 0.0) for i, m in enumerate(means)]
-        with open(out / "rewards.csv", "w") as fh:
-            write_training_csv(rows, fh)
+        write_csv(out / "rewards.csv", REWARDS_CSV_HEADER,
+                  ([r.epoch, repr(r.mean_reward), repr(r.epsilon),
+                    repr(r.mean_loss)] for r in rows))
 
 
 def run_sweep_cell(cfg: RunConfig, out_dir: str,
@@ -171,6 +173,14 @@ def _stored_hash(manifest_path: Path) -> str | None:
         return read_manifest(manifest_path)["config_hash"]
     except (OSError, ValueError, KeyError, TypeError):
         return None
+
+
+def write_csv(path: Path, header: str, rows) -> None:
+    """The one writer of every CSV a run writes: the comma-joined header
+    line, then rows, every line ending in a bare LF on any platform."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _read_reward_rows(path: Path) -> list[tuple[int, float]]:
@@ -214,14 +224,11 @@ def cmd_sweep(args) -> int:
                 results = list(pool.map(_cell_worker, jobs))
         else:
             results = [_cell_worker(job) for job in jobs]
-        with open(out / "sweep.csv", "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SWEEP_CSV_HEADER.split(","))
-            for (cfg, _, policy), rows in zip(jobs, results):
-                net = cfg.network
-                for epoch, mean_reward in rows:
-                    writer.writerow([net.nodes_initial, net.rate_max, net.seed,
-                                     policy, epoch, repr(mean_reward)])
+        write_csv(out / "sweep.csv", SWEEP_CSV_HEADER,
+                  ([cfg.network.nodes_initial, cfg.network.rate_max,
+                    cfg.network.seed, policy, epoch, repr(mean_reward)]
+                   for (cfg, _, policy), rows in zip(jobs, results)
+                   for epoch, mean_reward in rows))
     print(f"sweep complete: {len(jobs)} cells -> {out / 'sweep.csv'}")
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -60,6 +61,20 @@ def _syntax_error(exc: configparser.Error) -> ConfigError:
     return ConfigError(f"line {lineno}: {line} is not 'key = value'")
 
 
+def _read_utf8(path: str) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale; undecodable
+    bytes are rejected naming their line."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        raise ConfigError(f"config file not readable: {path}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {line}: not UTF-8 text") from None
+
+
 def load_config(path: Optional[str] = None,
                 environ: Optional[dict] = None) -> RunConfig:
     """Resolve defaults <- config file <- environment overrides, validated."""
@@ -70,11 +85,11 @@ def load_config(path: Optional[str] = None,
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                            interpolation=None)
         try:
-            read = parser.read(path)
+            # universal newlines, as open() would read the file
+            parser.read_file(io.StringIO(_read_utf8(path), newline=None),
+                             source=path)
         except configparser.Error as exc:
             raise _syntax_error(exc) from None
-        if not read:
-            raise ConfigError(f"config file not readable: {path}")
         for section in parser.sections():
             if section not in _KEY_TYPES:
                 raise ConfigError(f"{section}: unknown config section")

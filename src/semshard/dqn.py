@@ -37,18 +37,22 @@ bit-for-bit test in tests/test_dqn.py checks this on the installed BLAS.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import ConfigError, Rng, require_finite
 from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv, run_episodes
+
+
+# The most bytes one array that an agent key sizes may take. A key past it
+# is rejected at load, not by a MemoryError partway into a run.
+MAX_ARRAY_BYTES = 1 << 30  # 1 GiB
 
 
 @dataclass
@@ -76,6 +80,17 @@ class Hyperparameters:
         if self.buffer_capacity < self.batch_size:
             # the buffer would never hold a batch, so no gradient step is taken
             raise ConfigError("agent.buffer_capacity: must be >= batch_size")
+        sizes = (OBSERVATION_SIZE, self.hidden_units, NUM_ACTIONS)
+        for name, what, nbytes in (
+                ("buffer_capacity", "the replay rows",
+                 2 * self.buffer_capacity * (OBSERVATION_SIZE + 1) * 8),
+                ("hidden_units", "both parameter rows",
+                 2 * _theta_size(*sizes) * 8),
+                ("batch_size", "one batch's hidden layers",
+                 2 * self.batch_size * self.hidden_units * 4)):
+            if nbytes > MAX_ARRAY_BYTES:
+                raise ConfigError(f"agent.{name}: {what} would take {nbytes} "
+                                  f"bytes, more than {MAX_ARRAY_BYTES}")
 
 
 def _theta_size(input_size: int, hidden_size: int, output_size: int) -> int:
@@ -183,20 +198,13 @@ class QNetwork:
         w1b1, w2, b2 = self.blocks(flat)
         return {"w1": w1b1[:-1], "b1": w1b1[-1], "w2": w2, "b2": b2}
 
+    # forward adds the biases and takes the ReLU in place: the same
+    # arithmetic as max(obs @ w1 + b1, 0), without a second temporary.
+    # ndarray.dot runs the same BLAS call as @ at a lower dispatch cost.
     def forward(self, obs: np.ndarray) -> np.ndarray:
-        """Q-values for one observation (in,) or a batch (B, in)."""
-        x = np.asarray(obs, dtype=float)
-        if x.shape[-1] != self.input_size:
-            raise ValueError(
-                f"observation size {x.shape[-1]} != {self.input_size}")
-        return self._forward(x)
-
-    # _forward skips forward()'s input check. It adds the biases and takes
-    # the ReLU in place: the same arithmetic as max(x @ w1 + b1, 0), without
-    # a second temporary. ndarray.dot runs the same BLAS call as @ at a lower
-    # dispatch cost.
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        hidden = x.dot(self._w1)
+        """Q-values for one observation (in,) or a batch (B, in), in
+        float64; numpy's dot raises ValueError on any other width."""
+        hidden = obs.dot(self._w1)
         hidden += self._b1
         np.maximum(hidden, 0.0, out=hidden)
         q = hidden.dot(self._w2)
@@ -300,7 +308,7 @@ def act(net: QNetwork, obs: np.ndarray, epsilon: float, rng: Rng) -> Action:
     """Epsilon-greedy action; greedy ties break to the lowest index."""
     if rng.random() < epsilon:
         return _ACTIONS[rng.integers(0, NUM_ACTIONS - 1)]
-    return _ACTIONS[net._forward(obs).argmax()]
+    return _ACTIONS[net.forward(obs).argmax()]
 
 
 def td_targets(batch, net: QNetwork, discount: float):
@@ -378,17 +386,6 @@ class TrainRow:
     mean_reward: float
     epsilon: float
     mean_loss: float
-
-
-TRAIN_CSV_HEADER = "epoch,mean_reward,epsilon,mean_loss"
-
-
-def write_training_csv(rows: Sequence[TrainRow], fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(TRAIN_CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow([row.epoch, repr(row.mean_reward),
-                         repr(row.epsilon), repr(row.mean_loss)])
 
 
 def epsilon_for_epoch(hp: Hyperparameters, epoch: int) -> float:

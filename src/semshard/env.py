@@ -8,7 +8,6 @@ the resulting transaction throughput as reward.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
@@ -45,8 +44,6 @@ _MOVES = {a.value: (dk, ds, a.name) for a, dk, ds in (
 
 OBSERVATION_SIZE = 4
 
-EPISODE_CSV_HEADER = "round,K,S_bits,N,R_bps,t_sem,tps,action,clamped"
-
 
 # slotted, not frozen: a frozen record takes ~1.4 us a round to build, a
 # slotted one ~0.25 us, and dataclasses.replace takes either
@@ -67,17 +64,6 @@ class EpisodeRecord:
 @dataclass
 class EpisodeLog:
     records: list[EpisodeRecord] = field(default_factory=list)
-
-    def write_csv(self, fh) -> None:
-        """Emit the per-round log; schema is EPISODE_CSV_HEADER."""
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EPISODE_CSV_HEADER.split(","))
-        for r in self.records:
-            writer.writerow([
-                r.round, r.num_shards, r.message_size, r.n_nodes,
-                repr(r.rate), repr(r.semantic_time), repr(r.tps),
-                r.action, int(r.clamped),
-            ])
 
 
 class ShardEnv:

@@ -254,7 +254,9 @@ class TestCmdTrain:
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys):
         # a value out of range, then five files configparser cannot read as
         # they stand: a key twice, a section twice, no section header, a
-        # line without "=", and a %-interpolation, which is read literally
+        # line without "=", and a %-interpolation, which is read literally;
+        # then bytes that are not UTF-8, a path with no file, and three
+        # sizes whose arrays would pass 1 GiB, rejected before any is made
         cases = [("[agent]\ndiscount = 1.5\n", "discount"),
                  ("[agent]\nepochs = 3\nepochs = 4\n",
                   "agent.epochs: given twice"),
@@ -263,10 +265,21 @@ class TestCmdTrain:
                  ("epochs = 3\n", "line 1: 'epochs = 3'"),
                  ("[agent]\nepochs\n", "line 2: 'epochs\\n'"),
                  ("[network]\nseed = %(x)s\n",
-                  "network.seed: cannot parse '%(x)s' as int")]
+                  "network.seed: cannot parse '%(x)s' as int"),
+                 (b"[agent]\nepochs = \xff\n", "line 2: not UTF-8 text"),
+                 (None, "config file not readable"),
+                 ("[agent]\nbuffer_capacity = 1000000000000\n",
+                  "agent.buffer_capacity"),
+                 ("[agent]\nhidden_units = 1000000000\n",
+                  "agent.hidden_units"),
+                 ("[agent]\nbatch_size = 5000000\n"
+                  "buffer_capacity = 5000000\n", "agent.batch_size")]
         for i, (text, named) in enumerate(cases):
             path, out = tmp_path / f"bad{i}.cfg", tmp_path / f"o{i}"
-            path.write_text(text)
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            elif text is not None:
+                path.write_text(text)
             code = cli.main(["train", str(path), "--out", str(out)])
             assert code == 2, text
             assert named in capsys.readouterr().err, text

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import struct
@@ -10,11 +9,11 @@ import semshard.dqn as dqn
 from dqn_oracles import (float32_params, gradient_check_instance,
                          max_relative_gradient_error, reference_forward,
                          reference_train_step)
+from semshard import cli
 from semshard.core import ConfigError, NetworkConfig, Rng
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, TrainRow,
                           act, epsilon_for_epoch, load_network, save_network,
-                          sync_target, td_targets, train, train_step,
-                          write_training_csv)
+                          sync_target, td_targets, train, train_step)
 from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
 
 OBS = 8
@@ -619,6 +618,20 @@ class TestHyperparameters:
         with pytest.raises(ConfigError, match="discount"):
             Hyperparameters(discount=1.5)
 
+    def test_array_bounds_hold_to_the_byte(self):
+        # the largest value whose array fits MAX_ARRAY_BYTES loads; one more
+        # is rejected naming its key, and neither allocates anything
+        limit = dqn.MAX_ARRAY_BYTES
+        for key, fits, others in (
+                ("buffer_capacity", limit // 80, {}),  # 2 rows x 5 x 8 bytes
+                ("hidden_units", (limit - 80) // 160,  # 2 x (10 h + 5) x 8
+                 {"batch_size": 1, "buffer_capacity": 1}),
+                ("batch_size", limit // 1024,  # 2 x 128 hidden x 4 bytes
+                 {"buffer_capacity": limit // 1024 + 1})):
+            Hyperparameters(**{key: fits}, **others)
+            with pytest.raises(ConfigError, match=f"agent.{key}"):
+                Hyperparameters(**{key: fits + 1}, **others)
+
     def test_epsilon_decay_defaults_off(self):
         hp = Hyperparameters(epochs=100)
         assert epsilon_for_epoch(hp, 50) == 0.1
@@ -679,13 +692,23 @@ class TestTraining:
         assert len({r.epsilon for r in rows}) == hp.epochs
         assert steps % hp.target_sync_interval != 0
 
-    def test_csv_rows_schema(self):
-        _, rows = self._smoke()
-        buf = io.StringIO()
-        write_training_csv(rows, buf)
-        lines = buf.getvalue().splitlines()
+    def test_csv_rows_schema(self, tmp_path):
+        # semshard train on _smoke's scenario, seeded 42 as _smoke's Rng is
+        cfg_path, out = tmp_path / "smoke.cfg", tmp_path / "out"
+        cfg_path.write_text("[network]\nrounds_per_episode = 20\n"
+                            "nodes_initial = 60\n"
+                            "[agent]\nepochs = 10\nbatch_size = 8\n")
+        assert cli.main(["train", str(cfg_path), "--seed", "42",
+                         "--out", str(out)]) == 0
+        with open(out / "rewards.csv", newline="") as fh:
+            lines = fh.read().split("\n")
         assert lines[0] == "epoch,mean_reward,epsilon,mean_loss"
-        assert len(lines) == 11
+        assert len(lines) == 12 and lines[-1] == ""  # 11 lines, LF-ended
+        # every float is written as its repr, so it reads back exactly
+        _, rows = self._smoke()
+        assert [TrainRow(int(e), float(m), float(eps), float(loss))
+                for e, m, eps, loss in (line.split(",")
+                                        for line in lines[1:-1])] == rows
 
     def test_trained_policy_reaches_static_optimum_on_frozen_fixture(self):
         cfg = NetworkConfig(seed=5)

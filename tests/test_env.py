@@ -1,6 +1,4 @@
-import csv
 import dataclasses
-import io
 import itertools
 
 import numpy as np
@@ -10,8 +8,7 @@ from semshard import dqn
 from semshard import env as env_module
 from semshard.core import ConfigError, NetworkConfig, Rng, partition
 from semshard.env import (OBSERVATION_SIZE, Action, EpisodeFinishedError,
-                          EpisodeRecord, ShardEnv, run_baseline,
-                          EPISODE_CSV_HEADER)
+                          EpisodeRecord, ShardEnv, run_baseline)
 from semshard.throughput import round_latency, throughput
 
 FROZEN = (1e7, 20.0)  # rate 10 Mbps, semantic time 20 s
@@ -347,27 +344,6 @@ class TestRunEpisodes:
         env_module.run_baseline(cfg, 4, Rng(1))
         assert calls == [3, 4]
         assert resets == [3] * 3 + [4] * 4
-
-
-class TestEpisodeLog:
-    def test_csv_schema_and_roundtrip(self):
-        env, cfg = frozen_env(rounds_per_episode=5)
-        rng = Rng(2)
-        env.reset(rng)
-        while not env.terminal:
-            env.step(Action.INC_SHARDS, rng)
-        buf = io.StringIO()
-        env.log.write_csv(buf)
-        buf.seek(0)
-        rows = list(csv.DictReader(buf))
-        assert list(rows[0].keys()) == EPISODE_CSV_HEADER.split(",")
-        assert len(rows) == 5
-        for rec, row in zip(env.log.records, rows):
-            assert int(row["round"]) == rec.round
-            assert int(row["K"]) == rec.num_shards
-            assert float(row["tps"]) == rec.tps
-            assert row["action"] == "INC_SHARDS"
-            assert int(row["clamped"]) in (0, 1)
 
 
 class TestEpisodeRecord:
