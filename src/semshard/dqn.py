@@ -50,8 +50,9 @@ from .core import ConfigError, Rng, require_finite
 from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv, run_episodes
 
 
-# The most bytes one array that an agent key sizes may take. A key past it
-# is rejected at load, not by a MemoryError partway into a run.
+# The most bytes one array, or train's per-epoch records, that an agent key
+# sizes may take. A key past it is rejected at load, not by a MemoryError
+# partway into a run.
 MAX_ARRAY_BYTES = 1 << 30  # 1 GiB
 
 
@@ -87,7 +88,12 @@ class Hyperparameters:
                 ("hidden_units", "both parameter rows",
                  2 * _theta_size(*sizes) * 8),
                 ("batch_size", "one batch's hidden layers",
-                 2 * self.batch_size * self.hidden_units * 4)):
+                 2 * self.batch_size * self.hidden_units * 4),
+                # train holds per epoch an epsilon, a mean reward and a mean
+                # loss, each a float (24 bytes) in a list slot (8), and one
+                # TrainRow with its epoch int: 240 bytes in all, as
+                # tracemalloc measured it on CPython 3.11, rounded up to 256
+                ("epochs", "train's per-epoch records", self.epochs * 256)):
             if nbytes > MAX_ARRAY_BYTES:
                 raise ConfigError(f"agent.{name}: {what} would take {nbytes} "
                                   f"bytes, more than {MAX_ARRAY_BYTES}")

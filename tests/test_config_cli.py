@@ -255,8 +255,9 @@ class TestCmdTrain:
         # a value out of range, then five files configparser cannot read as
         # they stand: a key twice, a section twice, no section header, a
         # line without "=", and a %-interpolation, which is read literally;
-        # then bytes that are not UTF-8, a path with no file, and three
-        # sizes whose arrays would pass 1 GiB, rejected before any is made
+        # then bytes that are not UTF-8, a path with no file, three sizes
+        # whose arrays would pass 1 GiB, and epochs whose per-epoch records
+        # would, each rejected before anything is made
         cases = [("[agent]\ndiscount = 1.5\n", "discount"),
                  ("[agent]\nepochs = 3\nepochs = 4\n",
                   "agent.epochs: given twice"),
@@ -273,7 +274,8 @@ class TestCmdTrain:
                  ("[agent]\nhidden_units = 1000000000\n",
                   "agent.hidden_units"),
                  ("[agent]\nbatch_size = 5000000\n"
-                  "buffer_capacity = 5000000\n", "agent.batch_size")]
+                  "buffer_capacity = 5000000\n", "agent.batch_size"),
+                 ("[agent]\nepochs = 10000000000\n", "agent.epochs")]
         for i, (text, named) in enumerate(cases):
             path, out = tmp_path / f"bad{i}.cfg", tmp_path / f"o{i}"
             if isinstance(text, bytes):

@@ -627,7 +627,8 @@ class TestHyperparameters:
                 ("hidden_units", (limit - 80) // 160,  # 2 x (10 h + 5) x 8
                  {"batch_size": 1, "buffer_capacity": 1}),
                 ("batch_size", limit // 1024,  # 2 x 128 hidden x 4 bytes
-                 {"buffer_capacity": limit // 1024 + 1})):
+                 {"buffer_capacity": limit // 1024 + 1}),
+                ("epochs", limit // 256, {})):  # 256 bytes per epoch
             Hyperparameters(**{key: fits}, **others)
             with pytest.raises(ConfigError, match=f"agent.{key}"):
                 Hyperparameters(**{key: fits + 1}, **others)
