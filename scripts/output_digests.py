@@ -16,12 +16,16 @@ serially and on two workers and then serially again into the serial run's
 directory, so every cell is reused, `pos-demo` (7 verifiers, seed 2) under
 each mechanism, and `eval-throughput` on its defaults. One line per output:
 what ran, the file (or stdout), and the first 16 hex digits of its SHA-256.
-Each `sweep` run gets two lines: its `sweep.csv`, and "cells", one digest
+Each `sweep` run gets three lines: its `sweep.csv`; "cells", one digest
 over every cell's `rewards.csv` and `network.bin` in sorted path order, each
-file's path relative to `--out` hashed before its bytes. `sweep.csv` holds
-only each epoch's mean reward, which depends only on the actions taken, so a
-learner change that moves the weights and losses but no greedy action shows
-only on the cells line.
+file's path relative to `--out` hashed before its bytes; and "config_hash",
+one digest over every cell manifest's `config_hash`, one per line in sorted
+path order. A resumed sweep reuses a cell only when that hash matches, so a
+change to the canonical config text, which would make every stored sweep
+recompute, shows on this line. `sweep.csv` holds only each epoch's mean
+reward, which depends only on the actions taken, so a learner change that
+moves the weights and losses but no greedy action shows only on the cells
+line.
 The two plain `train` runs, and the three `sweep` runs, must print equal
 digests: within one checkout that shows determinism and a byte-identical
 resume, also when the outputs moved on purpose. A run takes a few seconds.
@@ -47,6 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from semshard import cli  # noqa: E402
+from semshard.config import read_manifest  # noqa: E402
 
 TRAIN_CFG = "[agent]\nepochs = 30\n"
 RING_CFG = TRAIN_CFG + "buffer_capacity = 500\n"
@@ -116,6 +121,10 @@ def main() -> int:
             show(f"sweep --workers {what}", "cells", b"".join(
                 p.relative_to(out).as_posix().encode() + b"\0" + p.read_bytes()
                 for p in cells))
+            manifests = sorted((out / "cells").rglob("manifest.json"))
+            show(f"sweep --workers {what}", "config_hash", "".join(
+                read_manifest(p)["config_hash"] + "\n"
+                for p in manifests).encode())
 
         for mechanism in ("offchain", "interactive", "commitment"):
             stdout = run(["pos-demo", "--verifiers", "7", "--seed", "2",

@@ -150,29 +150,34 @@ def run_sweep_cell(cfg: RunConfig, out_dir: str,
     """Run (or resume) one sweep cell; returns its (epoch, mean_reward) rows.
 
     A cell is fully determined by its config and policy, so the result is
-    the same whether cells run serially or in parallel. A cell whose
-    manifest carries this config's hash is reused as-is; any other is
+    the same whether cells run serially or in parallel. A cell is reused
+    as-is only when it is complete: its manifest carries this config's hash
+    and every output it lists is a file in the cell. Any other is
     recomputed, as is one whose manifest cannot be read.
     """
     net = cfg.network
     cell = (Path(out_dir) / "cells"
             / f"n{net.nodes_initial}_r{net.rate_max}_s{net.seed}_{policy}")
-    rewards_path = cell / "rewards.csv"
-    if not (rewards_path.exists()
-            and _stored_hash(cell / "manifest.json") == config_hash(cfg)):
+    if not _complete(cell, config_hash(cfg)):
         cell.mkdir(parents=True, exist_ok=True)
         _write_run(cfg, cell, policy)
-    return _read_reward_rows(rewards_path)
+    return _read_reward_rows(cell / "rewards.csv")
 
 
-def _stored_hash(manifest_path: Path) -> str | None:
-    """The manifest's config_hash; None if the manifest is absent, lacks
-    the key, is JSON but not an object, or is not JSON because a killed run
-    cut it short."""
+def _complete(cell: Path, cfg_hash: str) -> bool:
+    """Whether the cell can be served as it is: its manifest carries
+    cfg_hash, and its outputs, a list of names, are all files in the cell,
+    rewards.csv among them. False also if the manifest is absent, is JSON
+    but not an object, or is not JSON because a killed run cut it short."""
     try:
-        return read_manifest(manifest_path)["config_hash"]
+        manifest = read_manifest(cell / "manifest.json")
+        outputs = manifest["outputs"]
+        return (manifest["config_hash"] == cfg_hash
+                and isinstance(outputs, list)
+                and all((cell / name).is_file()
+                        for name in ["rewards.csv", *outputs]))
     except (OSError, ValueError, KeyError, TypeError):
-        return None
+        return False
 
 
 def write_csv(path: Path, header: str, rows) -> None:

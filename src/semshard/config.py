@@ -121,10 +121,9 @@ def _canon_value(value) -> str:
 
 def canonical_text(cfg: RunConfig) -> str:
     """Stable line-per-key rendering: 'section.key=value', sorted."""
-    lines = []
-    for section, obj in (("agent", cfg.agent), ("network", cfg.network)):
-        for f in sorted(fields(obj), key=lambda f: f.name):
-            lines.append(f"{section}.{f.name}={_canon_value(getattr(obj, f.name))}")
+    lines = [f"{section}.{f.name}={_canon_value(getattr(obj, f.name))}"
+             for section, obj in (("agent", cfg.agent), ("network", cfg.network))
+             for f in fields(obj)]
     return "\n".join(sorted(lines)) + "\n"
 
 

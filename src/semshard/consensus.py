@@ -3,7 +3,8 @@
 Covers the three aggregation/verification routes (leader aggregation with a
 threshold filter, interactive challenges with bond transfer, non-interactive
 hash-commitment proofs), leader selection, token accounting on an in-memory
-ledger, and ratification of sharding settings proposed by the leader.
+ledger, and ratification of a sharding setting: a validity check of the
+setting the leader proposes.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NetworkConfig, Content, Rng, ShardingState, VerifierNode,
-                   clamp_sharding, token_amount)
+from .core import (NetworkConfig, Content, InvalidShardingError, Rng,
+                   ShardingState, VerifierNode, token_amount)
 
 
 class DimensionMismatchError(ValueError):
@@ -68,14 +69,6 @@ class Commitment:
     """Binding commitment to a semantic vector: digest = SHA-256(encode(v) || salt)."""
 
     digest: bytes
-
-
-@dataclass(frozen=True)
-class SettingMessage:
-    """A sharding setting packaged by the leader for network-wide ratification."""
-
-    leader_id: int
-    setting: ShardingState
 
 
 class Ledger:
@@ -283,33 +276,14 @@ def random_salt(rng: Rng) -> bytes:
     return rng.bytes(16)
 
 
-def propose_setting(leader_id: int, setting: ShardingState) -> SettingMessage:
-    """Package a sharding setting for broadcast to the other verifiers."""
-    return SettingMessage(leader_id=leader_id, setting=setting)
+def ratify_setting(setting: ShardingState, cfg: NetworkConfig) -> bool:
+    """True iff the proposed setting passes ShardingState.validate.
 
-
-def ratify_setting(msg: SettingMessage, verifiers: Sequence[int],
-                   cfg: NetworkConfig,
-                   vote: Optional[Callable[[int, SettingMessage], bool]] = None,
-                   ) -> bool:
-    """Vote on a proposed setting; accepted iff votes >= ceil(2/3 * |verifiers|).
-
-    The default (honest) vote re-checks the setting's bounds: it accepts iff
-    clamp_sharding leaves the setting unchanged and the structural invariants
-    hold. Honest votes are identical across verifiers, so they are evaluated
-    once. Pass a custom vote callable to model dissenting verifiers.
+    Every honest verifier runs this same check on the same setting, so the
+    network's vote is unanimous either way and one check decides it.
     """
-    if not len(verifiers):
-        raise NoVerifiersError("cannot ratify without verifiers")
-    if vote is None:
-        votes = len(verifiers) if _honest_vote(msg.setting, cfg) else 0
-    else:
-        votes = sum(1 for v in verifiers if vote(v, msg))
-    return votes >= math.ceil(2 * len(verifiers) / 3)
-
-
-def _honest_vote(setting: ShardingState, cfg: NetworkConfig) -> bool:
-    n_total = sum(setting.shard_sizes)
-    _, _, clamped = clamp_sharding(setting.num_shards, setting.message_size,
-                                   n_total, cfg)
-    return not clamped and setting.is_valid(cfg)
+    try:
+        setting.validate(cfg)
+    except InvalidShardingError:
+        return False
+    return True

@@ -136,13 +136,6 @@ class ShardingState:
         if len(self.leader_ids) != k:
             raise InvalidShardingError("need exactly one leader per shard")
 
-    def is_valid(self, cfg: NetworkConfig) -> bool:
-        try:
-            self.validate(cfg)
-        except InvalidShardingError:
-            return False
-        return True
-
 
 def _unit_vector(values, name: str) -> np.ndarray:
     """values as a float array; ValueError unless its norm is 1."""

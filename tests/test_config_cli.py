@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import re
 import subprocess
@@ -394,15 +395,34 @@ class TestCmdSweep:
         assert cli.main(args) == 0
         first = (out / "sweep.csv").read_bytes()
         # a run killed while writing leaves a manifest cut short; one that
-        # is JSON but not an object is as unreadable
+        # is JSON but not an object is as unreadable, and so is one whose
+        # outputs are not a list of names
         manifest = out / "cells" / "n60_r60000000_s3_adaptive" / "manifest.json"
-        for text in (manifest.read_text()[:40], "[]", "null"):
+        stored = read_manifest(manifest)
+        for text in (manifest.read_text()[:40], "[]", "null", *(
+                json.dumps({**stored, "outputs": outputs}) for outputs in
+                ("rewards.csv", None, {"rewards.csv": 1}, ["rewards.csv", 7]))):
             manifest.write_text(text)
             (manifest.parent / "rewards.csv").write_text(
                 "epoch,mean_reward,epsilon,mean_loss\n0,123.5,0.1,0.0\n")
             assert cli.main(args) == 0, text
             assert "config_hash" in read_manifest(manifest), text
             assert (out / "sweep.csv").read_bytes() == first, text
+
+    def test_resume_recomputes_cell_missing_a_listed_output(self, tmp_path):
+        cfg_path = tmp_path / "cfg.cfg"
+        cfg_path.write_text("[agent]\nepochs = 2\n")
+        out = tmp_path / "sweep"
+        args = ["sweep", str(cfg_path), "--out", str(out),
+                "--grid", "nodes=100;rates=60;seeds=1", "--workers", "1"]
+        assert cli.main(args) == 0
+        first = (out / "sweep.csv").read_bytes()
+        network = out / "cells" / "n100_r60000000_s1_adaptive" / "network.bin"
+        weights = network.read_bytes()
+        network.unlink()
+        assert cli.main(args) == 0
+        assert network.read_bytes() == weights
+        assert (out / "sweep.csv").read_bytes() == first
 
     def test_resume_recomputes_cell_cut_off_before_its_manifest(
             self, tmp_path, monkeypatch):

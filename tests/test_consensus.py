@@ -11,11 +11,12 @@ from semshard.consensus import (AggregationFailure, AggregationReport,
                                 NoVerifiersError, SemanticResult,
                                 UnscoredResultError, commit,
                                 distribute_rewards, interactive_challenge,
-                                offchain_aggregate, propose_setting,
-                                random_salt, ratify_setting, score_accuracy,
+                                offchain_aggregate, random_salt,
+                                ratify_setting, score_accuracy,
                                 select_leader, simulate_verification,
                                 verify_commitment)
-from semshard.core import (Content, NetworkConfig, Rng, VerifierNode,
+from semshard.core import (Content, InvalidShardingError, NetworkConfig,
+                           Rng, ShardingState, VerifierNode,
                            make_sharding_state)
 from pos_oracles import (reference_score_accuracy,
                          reference_simulate_verification, verification_pairs)
@@ -435,32 +436,38 @@ class TestCommitment:
             commit(TRUTH2, b"short")
 
 
+def _state(sizes, message_size=8_000_000, leaders=None, shards=None):
+    """A hand-built setting; leaders default to each shard's first member."""
+    if leaders is None:
+        leaders = [sum(sizes[:i]) for i in range(len(sizes))]
+    return ShardingState(len(sizes) if shards is None else shards,
+                         message_size, tuple(sizes), tuple(leaders))
+
+
 class TestSettingRatification:
-    def test_valid_setting_unanimous(self):
-        setting = make_sharding_state(10, 8_000_000, 100, 0, CFG)
-        msg = propose_setting(leader_id=0, setting=setting)
-        assert ratify_setting(msg, range(100), CFG)
-
-    def test_out_of_bounds_shard_count_rejected(self):
-        # 30 shards of >=4 nodes cannot come from 100 nodes
-        setting = make_sharding_state(10, 8_000_000, 100, 0, CFG)
-        bad = type(setting)(num_shards=30, message_size=8_000_000,
-                            shard_sizes=setting.shard_sizes,
-                            leader_ids=setting.leader_ids)
-        assert not ratify_setting(propose_setting(0, bad), range(100), CFG)
-
-    def test_oversized_message_rejected(self):
-        setting = make_sharding_state(10, 9_000_000, 100, 0, CFG)
-        assert not ratify_setting(propose_setting(0, setting), range(100), CFG)
-
-    def test_quorum_boundary_exhaustive(self):
-        setting = make_sharding_state(2, 8_000_000, 10, 0, CFG)
-        msg = propose_setting(0, setting)
-        for n in range(1, 13):
-            for yes in range(n + 1):
-                vote = lambda vid, m, yes=yes: vid < yes
-                accepted = ratify_setting(msg, range(n), CFG, vote=vote)
-                assert accepted == (yes >= math.ceil(2 * n / 3)), (n, yes)
+    # each rejected setting breaks one rule of ShardingState.validate; the
+    # pattern names the rule that rejects it
+    @pytest.mark.parametrize("setting, rule", [
+        (make_sharding_state(10, 8_000_000, 100, 0, CFG), None),
+        (make_sharding_state(25, 800_000, 100, 7, CFG), None),
+        (make_sharding_state(1, 800_000, 4, 3, CFG), None),
+        (_state([]), "one entry per shard"),
+        (_state([10] * 10, shards=30), "one entry per shard"),
+        (_state([4] * 22 + [3] * 4), "cannot be formed"),
+        (_state([14, 3, 3]), "below minimum size"),
+        (_state([14, 6]), "not balanced"),
+        (make_sharding_state(10, 799_999, 100, 0, CFG), "message size"),
+        (make_sharding_state(10, 9_000_000, 100, 0, CFG), "message size"),
+        (_state([10, 10], leaders=[0]), "one leader per shard"),
+    ], ids=["valid", "most shards, smallest message", "one smallest shard",
+            "no shards", "shard count unlike sizes", "more shards than N allows",
+            "shard below min", "unbalanced", "message below min",
+            "message above max", "leader count unlike K"])
+    def test_ratifies_exactly_valid_settings(self, setting, rule):
+        assert ratify_setting(setting, CFG) == (rule is None)
+        if rule is not None:
+            with pytest.raises(InvalidShardingError, match=rule):
+                setting.validate(CFG)
 
 
 class TestLedger:

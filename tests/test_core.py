@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semshard.consensus import ratify_setting
 from semshard.core import (BLOCK_DOUBLES, MAX_INTEGER_SPAN, ConfigError,
                            Content, InvalidShardingError, NetworkConfig, Rng,
                            VerifierNode, clamp_sharding, make_sharding_state,
@@ -230,7 +231,7 @@ class TestShardingState:
                           shard_sizes=(14, 6), leader_ids=(0, 14))
         with pytest.raises(InvalidShardingError):
             bad.validate(cfg)
-        assert state.is_valid(cfg)
+        assert ratify_setting(state, cfg)
 
 
 @pytest.mark.parametrize("make", [
