@@ -46,14 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, Rng, require_finite
+from .core import MAX_ARRAY_BYTES, ConfigError, Rng, require_finite
 from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv, run_episodes
-
-
-# The most bytes one array, or train's per-epoch records, that an agent key
-# sizes may take. A key past it is rejected at load, not by a MemoryError
-# partway into a run.
-MAX_ARRAY_BYTES = 1 << 30  # 1 GiB
 
 
 @dataclass
@@ -248,18 +242,17 @@ def sync_target(net: QNetwork) -> None:
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with strict FIFO eviction.
 
-    obs and next_obs are rows 0 and 1 of one (2, capacity, in + 1) array, so
-    one take samples both, stacked as QNetwork.stacked_forward runs them. Each stored
-    row is the observation followed by a constant 1.0, the bias input of
-    [w1; b1], so a sampled batch feeds the forward as it comes, with no
-    column appended per step. push writes the 1.0 with its row: rows never
-    pushed stay untouched zero pages.
+    obs and next_obs are rows 0 and 1 of one (2, capacity, OBSERVATION_SIZE +
+    1) array, so one take samples both, stacked as QNetwork.stacked_forward
+    runs them. Each stored row is the observation followed by a constant 1.0,
+    the bias input of [w1; b1], so a sampled batch feeds the forward as it
+    comes, with no column appended per step. push writes the 1.0 with its
+    row: rows never pushed stay untouched zero pages.
     """
 
-    def __init__(self, capacity: int = 10_000,
-                 obs_size: int = OBSERVATION_SIZE):
+    def __init__(self, capacity: int = 10_000):
         self.capacity = capacity
-        self._rows = np.zeros((2, capacity, obs_size + 1))
+        self._rows = np.zeros((2, capacity, OBSERVATION_SIZE + 1))
         # push writes through plain views of the two rows: 2-D indexing
         # costs less than 3-D
         self._obs, self._next_obs = self._rows

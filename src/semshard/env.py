@@ -69,14 +69,12 @@ class EpisodeLog:
 class ShardEnv:
     """Single-threaded environment; run independent instances for sweeps.
 
-    Passing frozen_exogenous=(rate, semantic_time) pins the exogenous draws to
-    constants and disables node churn (test hook for oracle comparisons).
+    Every exogenous draw of a round (rate, semantic time, node churn) is read
+    from the rng passed to step or force_setting, and from nothing else.
     """
 
-    def __init__(self, cfg: NetworkConfig,
-                 frozen_exogenous: Optional[tuple[float, float]] = None):
+    def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
-        self._frozen = frozen_exogenous
         self._round = 0
         self._terminal = True
         self.log: Optional[EpisodeLog] = None
@@ -158,17 +156,14 @@ class ShardEnv:
         k_prev = self._k
         self._k, self._s = k_target, s_target
 
-        if self._frozen is None:
-            # what Rng.uniform(low, high) returns, low + (high - low) * u,
-            # without its extra call
-            rate = cfg.rate_min + (cfg.rate_max - cfg.rate_min) * rng.random()
-            t_sem = cfg.semantic_time_max * rng.random()
-            walk = rng.integers(-cfg.node_walk_step, cfg.node_walk_step)
-            self._n = min(max(self._n + walk, cfg.nodes_min), cfg.nodes_max)
-            # node churn can strand the shard count above the valid range
-            self._k, self._s, _ = clamp_sharding(self._k, self._s, self._n, cfg)
-        else:
-            rate, t_sem = self._frozen
+        # what Rng.uniform(low, high) returns, low + (high - low) * u,
+        # without its extra call
+        rate = cfg.rate_min + (cfg.rate_max - cfg.rate_min) * rng.random()
+        t_sem = cfg.semantic_time_max * rng.random()
+        walk = rng.integers(-cfg.node_walk_step, cfg.node_walk_step)
+        self._n = min(max(self._n + walk, cfg.nodes_min), cfg.nodes_max)
+        # node churn can strand the shard count above the valid range
+        self._k, self._s, _ = clamp_sharding(self._k, self._s, self._n, cfg)
 
         reconfigured = self._k != k_prev
         lat = round_latency(self._k, self._s, self._n, rate, t_sem,
@@ -201,16 +196,14 @@ def run_episodes(env: ShardEnv, episodes: int, rng: Rng, play) -> list[float]:
     return means
 
 
-def run_baseline(cfg: NetworkConfig, episodes: int, rng: Rng,
-                 frozen_exogenous: Optional[tuple[float, float]] = None,
-                 ) -> list[float]:
+def run_baseline(cfg: NetworkConfig, episodes: int, rng: Rng) -> list[float]:
     """Mean reward per episode for the static-max policy.
 
     The baseline pins the shard count at the maximum supported by the initial
     node count and the message size at its maximum; the setting is re-clamped
     every round as the node count drifts, but never re-tuned.
     """
-    env = ShardEnv(cfg, frozen_exogenous)
+    env = ShardEnv(cfg)
     k_fixed = cfg.nodes_initial // cfg.min_shard_size
     return run_episodes(env, episodes, rng, lambda episode, obs: (
         env.force_setting(k_fixed, cfg.avg_message_size_max, rng)))

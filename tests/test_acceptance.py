@@ -19,16 +19,17 @@ import pytest
 
 import semshard
 from dqn_oracles import gradient_check_instance, max_relative_gradient_error
+from pinned_draws import PINNED, RATE, SEMANTIC_TIME, pinned_config
 from semshard.config import load_config
 from semshard.consensus import (AggregationFailure, Ledger, SemanticResult,
                                 commit, distribute_rewards,
                                 interactive_challenge, offchain_aggregate,
                                 random_salt, score_accuracy,
                                 simulate_verification, verify_commitment)
-from semshard.core import Content, NetworkConfig, Rng, VerifierNode
+from semshard.core import Content, Rng, VerifierNode
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, sync_target,
                           train_step)
-from semshard.env import ShardEnv
+from semshard.env import OBSERVATION_SIZE, ShardEnv
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -75,8 +76,8 @@ def test_criterion_1_formula_fidelity():
 
 def test_criterion_2_brute_force_oracle_equivalence():
     started = time.time()
-    cfg = NetworkConfig(nodes_initial=100, rounds_per_episode=300)
-    env = ShardEnv(cfg, frozen_exogenous=(1e7, 20.0))
+    cfg = pinned_config(nodes_initial=100, rounds_per_episode=300)
+    env = ShardEnv(cfg)
     env.reset(Rng(0))
     prev_k = 1  # reset state
     worst = 0.0
@@ -84,8 +85,9 @@ def test_criterion_2_brute_force_oracle_equivalence():
     for k in range(1, 100 // cfg.min_shard_size + 1):
         for s in range(cfg.message_size_min, cfg.avg_message_size_max + 1,
                        cfg.message_size_step):
-            _, reward, _, _ = env.force_setting(k, s, Rng(0))
-            expected = straight_line_reward(k, s, 100, 1e7, 20.0, k != prev_k)
+            _, reward, _, _ = env.force_setting(k, s, PINNED)
+            expected = straight_line_reward(k, s, 100, RATE, SEMANTIC_TIME,
+                                            k != prev_k)
             prev_k = k
             worst = max(worst, abs(reward - expected) / expected)
             pairs += 1
@@ -112,27 +114,28 @@ def test_criterion_4_dqn_correctness():
     gradients_ok = worst < 1e-4
 
     rng = Rng(50)
-    net = QNetwork(8, 16, 5, rng)
+    net = QNetwork(OBSERVATION_SIZE, 16, 5, rng)
     # the target row starts from other weights, so the sync has something
     # to copy
-    net.target_theta[:] = QNetwork(8, 16, 5, rng).theta
+    net.target_theta[:] = QNetwork(OBSERVATION_SIZE, 16, 5, rng).theta
     sync_target(net)
     target = net.named(net.target_theta)
     sync_ok = all(np.array_equal(v, target[k])
                   for k, v in net.named(net.theta).items())
     frozen = {k: v.copy() for k, v in target.items()}
-    buffer = ReplayBuffer(64, obs_size=8)
+    buffer = ReplayBuffer(64)
     for i in range(16):
-        buffer.push(rng.uniform(0, 1, 8), i % 5, 1.0, rng.uniform(0, 1, 8),
-                    False)
+        buffer.push(rng.uniform(0, 1, OBSERVATION_SIZE), i % 5, 1.0,
+                    rng.uniform(0, 1, OBSERVATION_SIZE), False)
     hp = Hyperparameters(batch_size=8)
     for _ in range(25):
         train_step(net, buffer, hp, rng)
     frozen_ok = all(np.array_equal(v, frozen[k]) for k, v in target.items())
 
-    fifo = ReplayBuffer(100, obs_size=2)
+    fifo = ReplayBuffer(100)
     for i in range(250):
-        fifo.push(np.zeros(2), 0, float(i), np.zeros(2), False)
+        fifo.push(np.zeros(OBSERVATION_SIZE), 0, float(i),
+                  np.zeros(OBSERVATION_SIZE), False)
     kept = [t[2] for t in fifo.snapshot()]
     fifo_ok = kept == [float(i) for i in range(150, 250)]
 

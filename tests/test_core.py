@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semshard.consensus import ratify_setting
-from semshard.core import (BLOCK_DOUBLES, MAX_INTEGER_SPAN, ConfigError,
-                           Content, InvalidShardingError, NetworkConfig, Rng,
-                           VerifierNode, clamp_sharding, make_sharding_state,
-                           partition)
+from semshard.core import (BLOCK_DOUBLES, MAX_ARRAY_BYTES, MAX_INTEGER_SPAN,
+                           ConfigError, Content, InvalidShardingError,
+                           NetworkConfig, Rng, VerifierNode, clamp_sharding,
+                           make_sharding_state, partition)
 
 
 class TestPartition:
@@ -79,10 +79,17 @@ class TestNetworkConfig:
         (dict(accuracy_threshold=1.5), "accuracy_threshold"),
         (dict(node_walk_step=2**31), "node_walk_step"),
         (dict(node_walk_step=2**63), "node_walk_step"),
+        # 256 bytes a logged round
+        (dict(rounds_per_episode=MAX_ARRAY_BYTES // 256 + 1),
+         "rounds_per_episode"),
     ])
     def test_invalid_values_name_the_key(self, kwargs, key):
         with pytest.raises(ConfigError, match=key):
             NetworkConfig(**kwargs)
+
+    def test_longest_episode_whose_log_fits_is_accepted(self):
+        assert MAX_ARRAY_BYTES // 256 == 4_194_304
+        NetworkConfig(rounds_per_episode=MAX_ARRAY_BYTES // 256)
 
     def test_widest_walk_rng_serves_is_accepted(self):
         # the walk draws from [-step, step], a span of 2 * step + 1

@@ -9,6 +9,7 @@ import semshard.dqn as dqn
 from dqn_oracles import (float32_params, gradient_check_instance,
                          max_relative_gradient_error, reference_forward,
                          reference_train_step)
+from pinned_draws import PINNED, PinnedEnv, pinned_config
 from semshard import cli
 from semshard.core import ConfigError, NetworkConfig, Rng
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, TrainRow,
@@ -16,7 +17,7 @@ from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, TrainRow,
                           sync_target, td_targets, train, train_step)
 from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
 
-OBS = 8
+OBS = OBSERVATION_SIZE  # the replay buffer's row width
 
 
 def toy_net(b2=None):
@@ -182,7 +183,7 @@ class TestTrainStep:
         hp = Hyperparameters(batch_size=64)
         net = QNetwork(OBS, 8, 5, Rng(1))
         before = net.params.copy()
-        buffer = ReplayBuffer(100, obs_size=OBS)
+        buffer = ReplayBuffer(100)
         for i in range(63):
             buffer.push(np.zeros(OBS), 0, 0.0, np.zeros(OBS), True)
         assert train_step(net, buffer, hp, Rng(0)) is None
@@ -192,7 +193,7 @@ class TestTrainStep:
         hp = Hyperparameters(batch_size=1)
         rng = Rng(7)
         net = QNetwork(OBS, 128, 5, rng)  # target frozen: never re-synced
-        buffer = ReplayBuffer(10, obs_size=OBS)
+        buffer = ReplayBuffer(10)
         buffer.push(random_obs(Rng(3)), 2, 1.0, random_obs(Rng(4)), True)
         loss = None
         for step in range(500):
@@ -222,7 +223,7 @@ class TestSyncTarget:
         net = QNetwork(OBS, 16, 5, rng)
         frozen = {k: v.copy()
                   for k, v in net.named(net.target_theta).items()}
-        buffer = ReplayBuffer(100, obs_size=OBS)
+        buffer = ReplayBuffer(100)
         for i in range(10):
             buffer.push(random_obs(rng), i % 5, 1.0, random_obs(rng), False)
         for _ in range(9):
@@ -242,8 +243,7 @@ class TestSyncTarget:
         monkeypatch.setattr(dqn, "sync_target", counting_sync)
         cfg = NetworkConfig(rounds_per_episode=25)
         hp = Hyperparameters(batch_size=4, epochs=1, target_sync_interval=10)
-        env = ShardEnv(cfg, frozen_exogenous=(1e7, 20.0))
-        train(env, hp, Rng(1))
+        train(ShardEnv(cfg), hp, Rng(1))
         # one sync as the network is built, then gradient steps 10 and 20
         grad_steps = 25 - hp.batch_size + 1
         assert len(calls) - 1 == grad_steps // hp.target_sync_interval
@@ -392,7 +392,7 @@ class TestFlatParameters:
         rng = Rng(4)
         net = QNetwork(OBS, 16, 5, rng)
         frozen = net.target_theta.copy()
-        buffer = ReplayBuffer(10, obs_size=OBS)
+        buffer = ReplayBuffer(10)
         for i in range(4):
             buffer.push(random_obs(rng), i, 1.0, random_obs(rng), False)
         assert train_step(net, buffer, hp, rng) is not None
@@ -419,7 +419,7 @@ class TestFloat32Mirror:
             net.stacked_forward(np.ones((2, 1, OBS + 1)))
             sync_target(net)
         else:
-            buffer = ReplayBuffer(10, obs_size=OBS)
+            buffer = ReplayBuffer(10)
             for i in range(4):
                 buffer.push(random_obs(rng), i, 1.0, random_obs(rng), False)
             assert train_step(net, buffer, Hyperparameters(batch_size=4),
@@ -444,57 +444,57 @@ class TestFloat32Mirror:
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buffer = ReplayBuffer(100, obs_size=2)
+        buffer = ReplayBuffer(100)
         for i in range(250):
-            buffer.push(np.zeros(2), 0, float(i), np.zeros(2), False)
+            buffer.push(np.zeros(OBS), 0, float(i), np.zeros(OBS), False)
         assert len(buffer) == 100
         rewards = [t[2] for t in buffer.snapshot()]
         assert rewards == [float(i) for i in range(150, 250)]
 
     def test_sample_with_replacement_covers_buffer(self):
-        buffer = ReplayBuffer(8, obs_size=2)
+        buffer = ReplayBuffer(8)
         for i in range(8):
-            buffer.push(np.full(2, i), i % 5, float(i), np.zeros(2), False)
+            buffer.push(np.full(OBS, i), i % 5, float(i), np.zeros(OBS), False)
         _, _, rewards, _ = buffer.sample(1000, Rng(0))
         assert set(rewards.astype(int)) == set(range(8))
 
     def test_sampled_rows_end_in_the_bias_input(self):
-        buffer = ReplayBuffer(5, obs_size=3)
+        buffer = ReplayBuffer(5)
         rng = Rng(1)
         stored = {}
         for i in range(12):  # wraps the ring twice
-            obs, next_obs = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            obs, next_obs = rng.uniform(-1, 1, OBS), rng.uniform(-1, 1, OBS)
             buffer.push(obs, i % 5, float(i), next_obs, False)
             stored[float(i)] = (obs, next_obs)
         rows, _, rewards, _ = buffer.sample(200, Rng(2))
         obs, next_obs = rows
-        assert rows.shape == (2, 200, 4)
+        assert rows.shape == (2, 200, OBS + 1)
         assert set(rewards) == {7.0, 8.0, 9.0, 10.0, 11.0}
         for row, next_row, reward in zip(obs, next_obs, rewards):
-            assert row[3] == next_row[3] == 1.0
-            assert np.array_equal(row[:3], stored[reward][0])
-            assert np.array_equal(next_row[:3], stored[reward][1])
+            assert row[OBS] == next_row[OBS] == 1.0
+            assert np.array_equal(row[:OBS], stored[reward][0])
+            assert np.array_equal(next_row[:OBS], stored[reward][1])
 
     def test_sampled_indices_stay_below_len_while_filling_and_wrapped(self):
         # the index is floor(u * len): one at len or above would read a row
         # never pushed (reward 0.0) while filling, or raise once wrapped
-        buffer = ReplayBuffer(6, obs_size=2)
+        buffer = ReplayBuffer(6)
         rng = Rng(4)
         for i in range(1, 16):  # fills, then wraps the ring twice
-            buffer.push(np.zeros(2), 0, float(i), np.zeros(2), False)
+            buffer.push(np.zeros(OBS), 0, float(i), np.zeros(OBS), False)
             _, _, rewards, _ = buffer.sample(500, rng)
             assert set(rewards) == {float(j) for j in range(max(1, i - 5),
                                                             i + 1)}
 
     def test_snapshot_rows_have_the_observation_width(self):
-        buffer = ReplayBuffer(5, obs_size=3)
+        buffer = ReplayBuffer(5)
         for i in range(7):
-            buffer.push(np.full(3, i), 0, 0.0, np.full(3, -i), False)
+            buffer.push(np.full(OBS, i), 0, 0.0, np.full(OBS, -i), False)
         rows = buffer.snapshot()
         assert len(rows) == 5
         for i, (obs, _, _, next_obs, _) in zip(range(2, 7), rows):
-            assert np.array_equal(obs, np.full(3, i))
-            assert np.array_equal(next_obs, np.full(3, -i))
+            assert np.array_equal(obs, np.full(OBS, i))
+            assert np.array_equal(next_obs, np.full(OBS, -i))
 
 
 class TestInitialization:
@@ -517,7 +517,8 @@ class TestRewardScalingInvariance:
     def test_argmax_ordering_survives_scaling(self):
         # ten states, all five actions constrained per state, terminal
         # transitions so targets equal rewards exactly; 0.2 reward gaps keep
-        # the argmax robust to the residual fit error
+        # the argmax robust to the residual fit error. On four features the
+        # fit at scale 1 takes about 6,000 steps to order every state
         rng = Rng(21)
         states = rng.uniform(0.0, 1.0, (10, OBS))
         levels = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
@@ -527,12 +528,12 @@ class TestRewardScalingInvariance:
         def retrain(scale):
             hp = Hyperparameters(batch_size=50, learning_rate=0.05)
             est = QNetwork(OBS, 64, 5, Rng(33))
-            buffer = ReplayBuffer(64, obs_size=OBS)
+            buffer = ReplayBuffer(64)
             for s, a in itertools.product(range(10), range(5)):
                 buffer.push(states[s], a, scale * rewards[s, a], states[s],
                             True)
             sample_rng = Rng(44)
-            for _ in range(4000):
+            for _ in range(12_000):
                 loss = train_step(est, buffer, hp, sample_rng)
             assert loss < 1e-2 * scale ** 2
             return est
@@ -711,11 +712,10 @@ class TestTraining:
                 for e, m, eps, loss in (line.split(",")
                                         for line in lines[1:-1])] == rows
 
-    def test_trained_policy_reaches_static_optimum_on_frozen_fixture(self):
-        cfg = NetworkConfig(seed=5)
-        frozen = (1e7, 20.0)
+    def test_trained_policy_reaches_static_optimum_on_pinned_fixture(self):
+        cfg = pinned_config(seed=5)
         hp = Hyperparameters(epochs=200)
-        net, _ = train(ShardEnv(cfg, frozen_exogenous=frozen), hp, Rng(5))
+        net, _ = train(PinnedEnv(cfg), hp, Rng(5))
 
         best = max(
             (k * (s / cfg.tx_size)) / (2 * -(-100 // k) * (-(-100 // k) - 1)
@@ -724,13 +724,12 @@ class TestTraining:
             for s in range(cfg.message_size_min, cfg.avg_message_size_max + 1,
                            cfg.message_size_step)) / cfg.reward_scale
 
-        eval_env = ShardEnv(cfg, frozen_exogenous=frozen)
-        rng = Rng(99)
-        obs = eval_env.reset(rng)
+        eval_env = ShardEnv(cfg)
+        obs = eval_env.reset(PINNED)
         reward = 0.0
         while not eval_env.terminal:
             action = Action(int(np.argmax(net.forward(obs))))
-            obs, reward, _, _ = eval_env.step(action, rng)
+            obs, reward, _, _ = eval_env.step(action, PINNED)
         assert reward >= 0.9 * best
 
     def test_full_exploration_matches_random_policy(self):

@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
+from pinned_draws import (PINNED, RATE, SEMANTIC_TIME, PinnedEnv,
+                          pinned_config)
 from semshard import dqn
 from semshard import env as env_module
 from semshard.core import ConfigError, NetworkConfig, Rng, partition
@@ -11,12 +13,12 @@ from semshard.env import (OBSERVATION_SIZE, Action, EpisodeFinishedError,
                           EpisodeRecord, ShardEnv, run_baseline)
 from semshard.throughput import round_latency, throughput
 
-FROZEN = (1e7, 20.0)  # rate 10 Mbps, semantic time 20 s
+DRAWS = (RATE, SEMANTIC_TIME)  # rate 10 Mbps, semantic time 20 s
 
 
-def frozen_env(**cfg_kwargs):
-    cfg = NetworkConfig(**cfg_kwargs)
-    return ShardEnv(cfg, frozen_exogenous=FROZEN), cfg
+def pinned_env(**cfg_kwargs):
+    cfg = pinned_config(**cfg_kwargs)
+    return ShardEnv(cfg), cfg
 
 
 def straight_line_reward(k, s, n, rate, t_sem, reconfigured):
@@ -99,62 +101,86 @@ class TestDraws:
             n = min(max(n + walk, cfg.nodes_min), cfg.nodes_max)
             assert rec.n_nodes == n
 
+    @pytest.mark.parametrize("env_class", [ShardEnv, PinnedEnv])
+    def test_pinned_draws_fix_every_round(self, env_class):
+        # the premise of the oracle tests: under PINNED every round, stepped
+        # or forced, runs at rate_min and semantic_time_max with no churn,
+        # and PinnedEnv draws nothing from the rng it is handed
+        cfg = pinned_config(nodes_initial=60, rounds_per_episode=40)
+        env = env_class(cfg)
+        rng = PINNED if env_class is ShardEnv else Rng(8)
+        picks = Rng(9)
+        env.reset(rng)
+        while not env.terminal:
+            if picks.random() < 0.5:
+                env.step(Action(int(picks.integers(0, 4))), rng)
+            else:
+                env.force_setting(int(picks.integers(1, 15)),
+                                  cfg.message_size_min, rng)
+        assert {r.action == "FORCED" for r in env.log.records} == {True, False}
+        for rec in env.log.records:
+            assert rec.rate == cfg.rate_min
+            assert rec.semantic_time == cfg.semantic_time_max
+            assert rec.n_nodes == cfg.nodes_initial
+        if rng is not PINNED:
+            assert rng.random() == Rng(8).random()
+
 
 class TestStep:
     def test_noop_keeps_setting(self):
-        env, _ = frozen_env()
+        env, _ = pinned_env()
         env.reset(Rng(0))
-        _, reward, _, info = env.step(Action.NOOP, Rng(1))
+        _, reward, _, info = env.step(Action.NOOP, PINNED)
         assert env.sharding == (1, 8_000_000)
         assert not info["clamped"] and not info["reconfigured"]
         assert reward == pytest.approx(
-            straight_line_reward(1, 8_000_000, 100, *FROZEN, False))
+            straight_line_reward(1, 8_000_000, 100, *DRAWS, False))
 
     def test_inc_at_cap_is_clamped(self):
-        env, cfg = frozen_env()
+        env, cfg = pinned_env()
         env.reset(Rng(0))
         for _ in range(24):  # ramp to the 25-shard cap
-            env.step(Action.INC_SHARDS, Rng(0))
+            env.step(Action.INC_SHARDS, PINNED)
         assert env.sharding[0] == 25
-        _, _, _, info = env.step(Action.INC_SHARDS, Rng(0))
+        _, _, _, info = env.step(Action.INC_SHARDS, PINNED)
         assert env.sharding[0] == 25
         assert info["clamped"] and not info["reconfigured"]
 
     def test_message_size_actions_move_by_one_step(self):
-        env, cfg = frozen_env()
+        env, cfg = pinned_env()
         env.reset(Rng(0))
-        env.step(Action.DEC_MSG, Rng(0))
+        env.step(Action.DEC_MSG, PINNED)
         assert env.sharding[1] == 8_000_000 - cfg.message_size_step
-        env.step(Action.INC_MSG, Rng(0))
+        env.step(Action.INC_MSG, PINNED)
         assert env.sharding[1] == 8_000_000
 
     def test_ramp_to_optimum_reward_profile(self):
-        # K 10 -> 25 via INC_SHARDS under frozen draws
-        env, _ = frozen_env(rounds_per_episode=60)
+        # K 10 -> 25 via INC_SHARDS under pinned draws
+        env, _ = pinned_env(rounds_per_episode=60)
         env.reset(Rng(0))
         for _ in range(9):
-            env.step(Action.INC_SHARDS, Rng(0))
-        _, reward_at_10, _, _ = env.step(Action.NOOP, Rng(0))
+            env.step(Action.INC_SHARDS, PINNED)
+        _, reward_at_10, _, _ = env.step(Action.NOOP, PINNED)
         assert reward_at_10 == pytest.approx(0.1213, abs=5e-5)
 
         ramp_rewards = []
         for _ in range(15):
-            _, reward, _, _ = env.step(Action.INC_SHARDS, Rng(0))
+            _, reward, _, _ = env.step(Action.INC_SHARDS, PINNED)
             ramp_rewards.append(reward)
         assert env.sharding[0] == 25
         assert all(b > a for a, b in zip(ramp_rewards, ramp_rewards[1:]))
 
-        _, reward_at_25, _, _ = env.step(Action.NOOP, Rng(0))
+        _, reward_at_25, _, _ = env.step(Action.NOOP, PINNED)
         assert reward_at_25 == pytest.approx(1.2469, abs=5e-5)
 
     def test_step_after_terminal_raises(self):
-        env, _ = frozen_env(rounds_per_episode=2)
+        env, _ = pinned_env(rounds_per_episode=2)
         env.reset(Rng(0))
-        env.step(Action.NOOP, Rng(0))
-        _, _, terminal, _ = env.step(Action.NOOP, Rng(0))
+        env.step(Action.NOOP, PINNED)
+        _, _, terminal, _ = env.step(Action.NOOP, PINNED)
         assert terminal
         with pytest.raises(EpisodeFinishedError):
-            env.step(Action.NOOP, Rng(0))
+            env.step(Action.NOOP, PINNED)
 
 
 class TestActionValues:
@@ -165,12 +191,12 @@ class TestActionValues:
     def test_rejected_before_any_state_changes(self, bad):
         with pytest.raises(ValueError):
             Action(bad)
-        env, _ = frozen_env()
+        env, _ = pinned_env()
         env.reset(Rng(0))
-        env.step(Action.INC_SHARDS, Rng(0))
+        env.step(Action.INC_SHARDS, PINNED)
         obs, records = env.observe(), list(env.log.records)
         with pytest.raises(ValueError):
-            env.step(bad, Rng(0))
+            env.step(bad, PINNED)
         assert np.array_equal(env.observe(), obs)  # round counter included
         assert env.sharding == (2, 8_000_000)
         assert env.log.records == records
@@ -193,11 +219,11 @@ class TestActionValues:
         assert steps[0] == steps[1]
 
     def test_each_action_logs_its_own_name(self):
-        env, _ = frozen_env()
+        env, _ = pinned_env()
         env.reset(Rng(0))
         for action in Action:
-            env.step(action, Rng(0))
-        env.force_setting(2, 8_000_000, Rng(0))
+            env.step(action, PINNED)
+        env.force_setting(2, 8_000_000, PINNED)
         assert [r.action for r in env.log.records] == [
             "INC_SHARDS", "DEC_SHARDS", "INC_MSG", "DEC_MSG", "NOOP", "FORCED"]
 
@@ -247,9 +273,9 @@ class TestTrajectoryProperties:
             assert rec.tps == pytest.approx(expected * 1000.0, rel=1e-12)
 
     def test_no_policy_beats_static_optimum(self):
-        env, cfg = frozen_env(rounds_per_episode=40)
+        env, cfg = pinned_env(rounds_per_episode=40)
         best = max(
-            straight_line_reward(k, s, 100, *FROZEN, False)
+            straight_line_reward(k, s, 100, *DRAWS, False)
             for k, s in itertools.product(
                 range(1, 26),
                 range(cfg.message_size_min, cfg.avg_message_size_max + 1,
@@ -259,20 +285,20 @@ class TestTrajectoryProperties:
             env.reset(rng)
             while not env.terminal:
                 action = Action(int(rng.integers(0, 4)))
-                _, reward, _, _ = env.step(action, rng)
+                _, reward, _, _ = env.step(action, PINNED)
                 assert reward <= best + 1e-12
 
 
 class TestBaseline:
-    def test_frozen_draws_pin_the_max_setting(self):
-        cfg = NetworkConfig(rounds_per_episode=20)
-        run = run_baseline(cfg, 1, Rng(4), frozen_exogenous=FROZEN)
+    def test_pinned_draws_keep_the_max_setting(self):
+        cfg = pinned_config(rounds_per_episode=20)
+        run = run_baseline(cfg, 1, PINNED)
         assert len(run) == 1
         # re-derive via the log of an equivalent forced-setting episode
-        env = ShardEnv(cfg, frozen_exogenous=FROZEN)
+        env = ShardEnv(cfg)
         env.reset(Rng(4))
         while not env.terminal:
-            env.force_setting(25, cfg.avg_message_size_max, Rng(0))
+            env.force_setting(25, cfg.avg_message_size_max, PINNED)
         assert all(rec.num_shards == 25 and rec.message_size == 8_000_000
                    for rec in env.log.records)
 
@@ -281,10 +307,10 @@ class TestBaseline:
         assert run_baseline(cfg, 3, Rng(6)) == run_baseline(cfg, 3, Rng(6))
 
     def test_mean_matches_hand_composition(self):
-        cfg = NetworkConfig(rounds_per_episode=100)
-        mean = run_baseline(cfg, 1, Rng(0), frozen_exogenous=FROZEN)[0]
-        first = straight_line_reward(25, 8_000_000, 100, *FROZEN, True)
-        steady = straight_line_reward(25, 8_000_000, 100, *FROZEN, False)
+        cfg = pinned_config(rounds_per_episode=100)
+        mean = run_baseline(cfg, 1, PINNED)[0]
+        first = straight_line_reward(25, 8_000_000, 100, *DRAWS, True)
+        steady = straight_line_reward(25, 8_000_000, 100, *DRAWS, False)
         assert mean == pytest.approx((first + 99 * steady) / 100, abs=1e-9)
 
     def test_matches_a_written_out_static_loop_under_churn(self):
