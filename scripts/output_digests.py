@@ -14,8 +14,11 @@ batches of 37 and 16 hidden units, sizes that are not multiples of a BLAS
 tile, so the gemms' edge kernels run end to end, a small `sweep` run
 serially and on two workers and then serially again into the serial run's
 directory, so every cell is reused, `pos-demo` (7 verifiers, seed 2) under
-each mechanism, and `eval-throughput` on its defaults. One line per output:
-what ran, the file (or stdout), and the first 16 hex digits of its SHA-256.
+each mechanism, the same offchain `pos-demo` under a config file that sets
+`noise_sigma` and `accuracy_threshold`, so that the command's constants are
+seen to come from its config, and `eval-throughput` on its defaults. One
+line per output: what ran, the file (or stdout), and the first 16 hex digits
+of its SHA-256.
 Each `sweep` run gets three lines: its `sweep.csv`; "cells", one digest
 over every cell's `rewards.csv` and `network.bin` in sorted path order, each
 file's path relative to `--out` hashed before its bytes; and "config_hash",
@@ -58,6 +61,8 @@ RING_CFG = TRAIN_CFG + "buffer_capacity = 500\n"
 EDGE_CFG = TRAIN_CFG + "batch_size = 37\nhidden_units = 16\n"
 SWEEP_CFG = "[agent]\nepochs = 6\nepsilon_decay = true\n"
 SWEEP_GRID = "nodes=100,500;rates=60,100;seeds=1,2"
+# noise that drops three of the seven verifiers below the threshold
+POS_CFG = "[network]\nnoise_sigma = 1.0\naccuracy_threshold = 0.7\n"
 
 
 def machine() -> list[str]:
@@ -99,6 +104,7 @@ def main() -> int:
         (tmp / "ring.cfg").write_text(RING_CFG)
         (tmp / "edge.cfg").write_text(EDGE_CFG)
         (tmp / "sweep.cfg").write_text(SWEEP_CFG)
+        (tmp / "pos.cfg").write_text(POS_CFG)
 
         for cfg, what in (("train", "run 1"), ("train", "run 2"),
                           ("ring", "ring 500"), ("edge", "b37 h16")):
@@ -130,6 +136,9 @@ def main() -> int:
             stdout = run(["pos-demo", "--verifiers", "7", "--seed", "2",
                           "--mechanism", mechanism])
             show(f"pos-demo {mechanism}", "stdout", stdout)
+        show("pos-demo offchain, pos.cfg", "stdout", run(
+            ["pos-demo", str(tmp / "pos.cfg"), "--verifiers", "7", "--seed",
+             "2", "--mechanism", "offchain"]))
 
         show("eval-throughput defaults", "stdout", run(["eval-throughput"]))
     return 0

@@ -23,8 +23,8 @@ import numpy as np
 from . import consensus
 from .config import (DEFAULT_GRID, RunConfig, config_hash, load_config,
                      parse_grid, read_manifest, write_manifest)
-from .core import (ConfigError, Content, InvalidShardingError, NetworkConfig,
-                   Rng, VerifierNode, partition)
+from .core import (ConfigError, Content, InvalidShardingError, Rng,
+                   VerifierNode, partition)
 from .dqn import TrainRow, save_network, train
 from .env import ShardEnv, run_baseline
 from .throughput import round_latency, throughput
@@ -39,17 +39,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sharded oracle-network simulator with an adaptive "
                     "DQN sharding controller.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", nargs="?",
+                        help="config file (defaults reproduce the reference scenario)")
 
-    p_train = sub.add_parser("train", help="train one scenario")
-    p_train.add_argument("config", nargs="?", default=None,
-                         help="config file (defaults reproduce the reference scenario)")
-    p_train.add_argument("--seed", type=int, default=None,
-                         help="override network.seed")
+    p_train = sub.add_parser("train", parents=[common], help="train one scenario")
+    p_train.add_argument("--seed", type=int, help="override network.seed")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep: adaptive vs static-max")
-    p_sweep.add_argument("config", nargs="?", default=None)
+    p_sweep = sub.add_parser("sweep", parents=[common],
+                             help="grid sweep: adaptive vs static-max")
     p_sweep.add_argument("--grid", default=DEFAULT_GRID,
                          help="rates in Mbps; an axis left out keeps its "
                               "default (default: '%(default)s')")
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parallel cell workers (default: usable CPUs)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_eval = sub.add_parser("eval-throughput",
+    p_eval = sub.add_parser("eval-throughput", parents=[common],
                             help="latency breakdown + throughput for one setting")
     p_eval.add_argument("--shards", type=int, default=10)
     p_eval.add_argument("--msg-size", type=int, default=8_000_000,
@@ -72,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="charge the shard-formation latency")
     p_eval.set_defaults(func=cmd_eval_throughput)
 
-    p_demo = sub.add_parser("pos-demo",
+    p_demo = sub.add_parser("pos-demo", parents=[common],
                             help="one proof-of-semantic verification round")
     p_demo.add_argument("--verifiers", type=int, default=5)
     p_demo.add_argument("--mechanism", required=True,
                         choices=("offchain", "interactive", "commitment"))
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=int, help="override network.seed")
     p_demo.add_argument("--tamper", action="store_true",
                         help="perturb the revealed vector (commitment only)")
     p_demo.set_defaults(func=cmd_pos_demo)
@@ -106,11 +106,14 @@ def _prepare_out(path: str) -> Path:
     return out
 
 
+def _seeded(cfg: RunConfig, seed: int | None) -> RunConfig:
+    """cfg with network.seed replaced by --seed, if that was given."""
+    return cfg if seed is None else replace(
+        cfg, network=replace(cfg.network, seed=seed))
+
+
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = RunConfig(network=replace(cfg.network, seed=args.seed),
-                        agent=cfg.agent)
+    cfg = _seeded(load_config(args.config), args.seed)
     out = _prepare_out(args.out)
     _write_run(cfg, out, "adaptive")
     print(f"trained {cfg.agent.epochs} epochs, seed {cfg.network.seed}, "
@@ -218,8 +221,9 @@ def cmd_sweep(args) -> int:
 
     jobs = [(cfg, str(out), policy)
             for cfg in cells for policy in ("adaptive", "baseline")]
-    # the pool starts all its workers at once, so no more than there are jobs
-    workers = min(args.workers, len(jobs))
+    # the pool starts all its workers at once, so no more than there are
+    # jobs or CPUs to run them; cells are deterministic, so this moves no byte
+    workers = min(args.workers, len(jobs), _usable_cpus())
     with _manifest_last(out, base, ["sweep.csv"]):
         if workers > 1:
             # imported here: the pool stack (multiprocessing, socket,
@@ -246,7 +250,7 @@ def cmd_eval_throughput(args) -> int:
         raise ConfigError("--rate: must be strictly positive")
     if args.sem_time < 0:
         raise ConfigError("--sem-time: must be non-negative")
-    cfg = NetworkConfig()
+    cfg = load_config(args.config).network
     if args.msg_size < cfg.tx_size:
         # the rule a config's message_size_min keeps: one message holds at
         # least one transaction
@@ -273,18 +277,17 @@ def cmd_eval_throughput(args) -> int:
 def cmd_pos_demo(args) -> int:
     if args.verifiers < 1:
         raise ConfigError("verifiers: must be at least 1")
-    cfg = NetworkConfig()
-    rng = Rng(args.seed)
-    d = cfg.semantic_dim
+    cfg = _seeded(load_config(args.config), args.seed).network
+    rng = Rng(cfg.seed)
 
-    truth = rng.normal(1.0, d)
+    truth = rng.normal(1.0, cfg.semantic_dim)
     truth /= np.linalg.norm(truth)
     content = Content(id=0, truth=truth, reward_pool=120, bond=25)
 
     verifiers = []
     for i in range(args.verifiers):
         spread = 1.5 * i / max(1, args.verifiers - 1)
-        raw = truth + spread * rng.normal(1.0, d)
+        raw = truth + spread * rng.normal(1.0, cfg.semantic_dim)
         verifiers.append(VerifierNode(id=i, knowledge=raw / np.linalg.norm(raw)))
 
     ledger = consensus.Ledger()

@@ -69,6 +69,13 @@ class NetworkConfig:
 
     def __post_init__(self):
         require_finite(self, "network")
+        for f in fields(self):
+            # the latency and throughput formulas take every size as a float
+            try:
+                float(getattr(self, f.name))
+            except OverflowError:
+                raise ConfigError(f"network.{f.name}: too large for a "
+                                  "float") from None
         positive = (
             "config_latency", "validation_delay", "avg_message_size_max",
             "semantic_time_max", "rate_min", "rate_max", "nodes_initial",
@@ -87,6 +94,11 @@ class NetworkConfig:
             raise ConfigError(f"network.rounds_per_episode: one episode's log "
                               f"would take {nbytes} bytes, more than "
                               f"{MAX_ARRAY_BYTES}")
+        if self.semantic_dim * 8 > MAX_ARRAY_BYTES:
+            # one semantic vector of float64s
+            raise ConfigError(f"network.semantic_dim: one semantic vector "
+                              f"would take {self.semantic_dim * 8} bytes, "
+                              f"more than {MAX_ARRAY_BYTES}")
         if 2 * self.node_walk_step + 1 > MAX_INTEGER_SPAN:
             # each round draws the walk from [-step, step] with Rng.integers
             raise ConfigError("network.node_walk_step: the walk's span "

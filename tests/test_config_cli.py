@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 from typing import get_type_hints
 
@@ -12,13 +13,15 @@ import pytest
 from semshard import cli
 from semshard.config import (DEFAULT_GRID, canonical_text, config_hash,
                              load_config, parse_grid, read_manifest)
-from semshard.core import ConfigError, NetworkConfig
+from semshard.core import MAX_ARRAY_BYTES, ConfigError, NetworkConfig
 from semshard.dqn import Hyperparameters
 
 FLOAT_KEYS = [f"{section}.{key}"
               for section, cls in (("network", NetworkConfig),
                                    ("agent", Hyperparameters))
               for key, kind in get_type_hints(cls).items() if kind is float]
+NETWORK_INT_KEYS = [key for key, kind in get_type_hints(NetworkConfig).items()
+                    if kind is int]
 
 
 class TestLoadConfig:
@@ -301,6 +304,18 @@ class TestCmdTrain:
         assert "network.node_walk_step" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", NETWORK_INT_KEYS)
+    def test_int_past_float_range_exits_2_naming_key(self, tmp_path, capsys,
+                                                     key):
+        # loads as an int, but the latency formulas cannot take it as a float
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"[network]\n{key} = {10**400}\n")
+        code = cli.main(["train", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err \
+            == f"error: network.{key}: too large for a float\n"
+        assert not (tmp_path / "o").exists()
+
     def test_rerun_cut_off_before_its_manifest_leaves_none(self, tmp_path,
                                                            monkeypatch):
         out = tmp_path / "run"
@@ -515,16 +530,20 @@ class TestCmdSweep:
         assert (out_serial / "sweep.csv").read_bytes() \
             == (out_par / "sweep.csv").read_bytes()
 
-    @pytest.mark.parametrize("workers, grid, pools", [
-        ("3", "nodes=60;rates=60;seeds=3", [2]),
-        ("8", "nodes=60,70;rates=60;seeds=3", [4]),
-        ("2", "nodes=60,70;rates=60;seeds=3", [2]),
-        ("1", "nodes=60;rates=60;seeds=3", [])])
+    # pools: min(workers, jobs, usable CPUs), if that is above 1
+    @pytest.mark.parametrize("workers, grid, cpus, pools", [
+        ("3", "nodes=60;rates=60;seeds=3", 8, [2]),
+        ("8", "nodes=60,70;rates=60;seeds=3", 8, [4]),
+        ("8", "nodes=60,70;rates=60;seeds=3", 3, [3]),
+        ("8", "nodes=60,70;rates=60;seeds=3", 1, []),
+        ("2", "nodes=60,70;rates=60;seeds=3", 8, [2]),
+        ("1", "nodes=60;rates=60;seeds=3", 8, [])])
     def test_pool_starts_no_more_workers_than_jobs(self, tmp_path,
                                                    monkeypatch, workers,
-                                                   grid, pools):
+                                                   grid, cpus, pools):
         # the pool forks all max_workers processes at once; this stand-in
         # records the count and runs the jobs inline, starting none
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         import concurrent.futures
         started = []
 
@@ -602,13 +621,58 @@ class TestCmdSweep:
         assert not out.exists()
 
 
+def test_every_command_takes_a_config():
+    parser = cli.build_parser()
+    for argv in (["train", "--out", "x"], ["sweep", "--out", "x"],
+                 ["eval-throughput"], ["pos-demo", "--mechanism", "offchain"]):
+        assert parser.parse_args([argv[0], "run.cfg", *argv[1:]]).config \
+            == "run.cfg"
+        assert parser.parse_args(argv).config is None
+
+
 class TestCmdEvalThroughput:
-    def _parse(self, text):
+    def _parse(self, text, kind=float):
         values = {}
         for line in text.splitlines():
             parts = line.split()
-            values[parts[0]] = float(parts[1])
+            values[parts[0]] = kind(parts[1])
         return values
+
+    def test_config_validation_delay_enters_t_intra(self, tmp_path, capsys):
+        path = tmp_path / "slow.cfg"
+        path.write_text("[network]\nvalidation_delay = 0.5\n")
+        assert cli.main(["eval-throughput"]) == 0
+        before = self._parse(capsys.readouterr().out, Decimal)
+        assert cli.main(["eval-throughput", str(path)]) == 0
+        after = self._parse(capsys.readouterr().out, Decimal)
+        # the default is 0.1 s; the printed digits differ by exactly 0.4
+        assert after["t_intra"] - before["t_intra"] == Decimal("0.4")
+        assert after["t_prop"] == before["t_prop"]
+        assert after["tps"] < before["tps"]
+
+    def test_environment_override_changes_tps(self, capsys, monkeypatch):
+        assert cli.main(["eval-throughput"]) == 0
+        before = self._parse(capsys.readouterr().out)
+        monkeypatch.setenv("SEMSHARD_NETWORK_VALIDATION_DELAY", "5")
+        assert cli.main(["eval-throughput"]) == 0
+        assert self._parse(capsys.readouterr().out)["tps"] < before["tps"]
+
+    def test_msg_size_bound_is_the_configs_tx_size(self, tmp_path, capsys):
+        path = tmp_path / "tx.cfg"
+        path.write_text("[network]\ntx_size = 8000\n")
+        assert cli.main(["eval-throughput", "--msg-size", "5000"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval-throughput", str(path),
+                         "--msg-size", "5000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --msg-size: must be >= tx_size (8000)\n"
+        assert captured.out == ""
+
+    def test_bad_config_exits_2_naming_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[network]\nvalidation_delay = -1\n")
+        assert cli.main(["eval-throughput", str(path)]) == 2
+        assert "network.validation_delay" in capsys.readouterr().err
 
     def test_reference_setting(self, capsys):
         assert cli.main(["eval-throughput", "--shards", "10",
@@ -677,3 +741,60 @@ class TestCmdPosDemo:
         with pytest.raises(SystemExit) as exc:
             cli.main(["pos-demo", "--mechanism", "quantum"])
         assert exc.value.code == 2
+
+    def _demo(self, capsys, *args):
+        """pos-demo offchain's stdout for 7 verifiers, under args."""
+        assert cli.main(["pos-demo", "--mechanism", "offchain",
+                         "--verifiers", "7", *args]) in (0, 1)
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _accuracies(out):
+        return [line for line in out.splitlines() if ": accuracy " in line]
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sigma", "3.0"), ("semantic_dim", "3")])
+    def test_config_key_changes_accuracies(self, tmp_path, capsys, key,
+                                           value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[network]\n{key} = {value}\n")
+        default = self._accuracies(self._demo(capsys))
+        assert self._accuracies(self._demo(capsys, str(path))) != default
+
+    def test_environment_noise_sigma_changes_accuracies(self, capsys,
+                                                        monkeypatch):
+        default = self._accuracies(self._demo(capsys))
+        monkeypatch.setenv("SEMSHARD_NETWORK_NOISE_SIGMA", "3.0")
+        assert self._accuracies(self._demo(capsys)) != default
+
+    def test_config_threshold_gates_aggregation(self, tmp_path, capsys):
+        path = tmp_path / "strict.cfg"
+        path.write_text("[network]\naccuracy_threshold = 0.25\n")
+        assert "(threshold 0.25)" in self._demo(capsys, str(path))
+
+    def test_seed_flag_overrides_network_seed(self, tmp_path, capsys):
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text("[network]\nseed = 2\n")
+        other = tmp_path / "other.cfg"
+        other.write_text("[network]\nseed = 9\n")
+        by_flag = self._demo(capsys, "--seed", "2")
+        assert self._demo(capsys, str(seeded)) == by_flag
+        assert self._demo(capsys, str(other), "--seed", "2") == by_flag
+        # the defaults' network.seed is 0, the old default of --seed
+        assert self._demo(capsys) == self._demo(capsys, "--seed", "0")
+
+    def test_negative_seed_exits_2_naming_key(self, capsys):
+        assert cli.main(["pos-demo", "--mechanism", "offchain",
+                         "--seed", "-1"]) == 2
+        assert "network.seed" in capsys.readouterr().err
+
+    def test_semantic_vector_past_1_gib_exits_2_naming_key(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "wide.cfg"
+        path.write_text(f"[network]\nsemantic_dim = "
+                        f"{MAX_ARRAY_BYTES // 8 + 1}\n")
+        assert cli.main(["pos-demo", str(path),
+                         "--mechanism", "offchain"]) == 2
+        captured = capsys.readouterr()
+        assert "network.semantic_dim" in captured.err
+        assert captured.out == ""

@@ -82,6 +82,8 @@ class TestNetworkConfig:
         # 256 bytes a logged round
         (dict(rounds_per_episode=MAX_ARRAY_BYTES // 256 + 1),
          "rounds_per_episode"),
+        # 8 bytes a vector component
+        (dict(semantic_dim=MAX_ARRAY_BYTES // 8 + 1), "semantic_dim"),
     ])
     def test_invalid_values_name_the_key(self, kwargs, key):
         with pytest.raises(ConfigError, match=key):
@@ -90,6 +92,14 @@ class TestNetworkConfig:
     def test_longest_episode_whose_log_fits_is_accepted(self):
         assert MAX_ARRAY_BYTES // 256 == 4_194_304
         NetworkConfig(rounds_per_episode=MAX_ARRAY_BYTES // 256)
+
+    def test_widest_semantic_vector_that_fits_is_accepted(self):
+        NetworkConfig(semantic_dim=MAX_ARRAY_BYTES // 8)
+
+    def test_int_a_float_holds_is_accepted(self):
+        # the largest int that float() rounds to a finite value
+        biggest = 2**1024 - 2**970 - 1
+        NetworkConfig(avg_message_size_max=biggest, nodes_max=biggest)
 
     def test_widest_walk_rng_serves_is_accepted(self):
         # the walk draws from [-step, step], a span of 2 * step + 1
