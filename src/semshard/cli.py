@@ -24,7 +24,7 @@ from . import consensus
 from .config import (DEFAULT_GRID, RunConfig, config_hash, load_config,
                      parse_grid, read_manifest, write_manifest)
 from .core import (ConfigError, Content, InvalidShardingError, Rng,
-                   VerifierNode, partition)
+                   VerifierNode)
 from .dqn import TrainRow, save_network, train
 from .env import ShardEnv, run_baseline
 from .throughput import round_latency, throughput
@@ -255,7 +255,11 @@ def cmd_eval_throughput(args) -> int:
         # the rule a config's message_size_min keeps: one message holds at
         # least one transaction
         raise ConfigError(f"--msg-size: must be >= tx_size ({cfg.tx_size})")
-    partition(args.nodes, args.shards, cfg.min_shard_size)  # rejects bad K
+    if not 1 <= args.shards <= args.nodes // cfg.min_shard_size:
+        # partition's rule, without building its list of --shards sizes
+        raise ConfigError(f"--shards: cannot split {args.nodes} nodes into "
+                          f"{args.shards} shards of at least "
+                          f"{cfg.min_shard_size}")
     try:
         lat = round_latency(args.shards, args.msg_size, args.nodes, args.rate,
                             args.sem_time, args.reconfigured, cfg)

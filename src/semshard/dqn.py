@@ -15,15 +15,11 @@ a stack as on that slice alone, so the bits are those of two separate passes.
 The network also holds the gradient vector and its block views, built once.
 No learner call takes a second network.
 
-The learner step is mixed precision (Micikevicius et al., "Mixed Precision
-Training", ICLR 2018). The master weights, both rows of params, stay
-float64: every write, the SGD update, act() and network.bin use them. The
-batch arithmetic runs in float32: both forwards, the TD targets, the loss,
-the backward pass and the gradient vector. The network's float32 mirror of
-params is refreshed by one cast at the start of every batch forward. The
-sampled rows are cast where they enter that forward, and the rewards where
-they enter the TD targets. The update theta -= lr * grad then lands in
-float64, so a step far smaller than theta is not lost to float32 rounding.
+The learner runs in one precision, float32: the weights, both rows of
+params, which every write, the SGD update and act() use; the replay rows and
+rewards; both forwards, the TD targets, the loss, the backward pass and the
+gradient. The env's observations are float32 too, so no learner call casts.
+Only network.bin holds float64, to which float32 widens exactly.
 
 Training batches carry the hidden layer's bias input: every observation row
 the replay buffer stores ends in a constant 1.0. Against the stacked
@@ -78,9 +74,9 @@ class Hyperparameters:
         sizes = (OBSERVATION_SIZE, self.hidden_units, NUM_ACTIONS)
         for name, what, nbytes in (
                 ("buffer_capacity", "the replay rows",
-                 2 * self.buffer_capacity * (OBSERVATION_SIZE + 1) * 8),
+                 2 * self.buffer_capacity * (OBSERVATION_SIZE + 1) * 4),
                 ("hidden_units", "both parameter rows",
-                 2 * _theta_size(*sizes) * 8),
+                 2 * _theta_size(*sizes) * 4),
                 ("batch_size", "one batch's hidden layers",
                  2 * self.batch_size * self.hidden_units * 4),
                 # train holds per epoch an epsilon, a mean reward and a mean
@@ -123,7 +119,7 @@ def _param(name: str) -> property:
 
     def set_(net: "QNetwork", value) -> None:
         view = getattr(net, "_" + name)
-        value = np.asarray(value, dtype=float)
+        value = np.asarray(value, np.float32)
         if value.shape != view.shape:
             raise ValueError(f"{name}: shape {value.shape} != {view.shape}")
         view[...] = value
@@ -135,24 +131,23 @@ class QNetwork:
     """Linear -> ReLU -> linear; five action values out, no output activation.
 
     The estimation network and its target, a periodically synchronized copy,
-    are rows 0 and 1 of one (2, P) float64 array, params: theta and
-    target_theta, the master weights. Each row holds w1, b1, w2, b2, each
-    row-major, which is exactly the network.bin body. The four names are
-    views of theta, and so are the plain attributes _w1, _b1, _w2 and _b2
-    that the single-observation pass reads: assignment copies into the
-    views, so neither form goes stale. named(target_theta) gives the
-    target's views. forward and act read theta in float64. Since b1 directly
-    follows w1, theta's head is also the stacked (in + 1, hidden) matrix
-    [w1; b1]: a batch row ending in 1.0 times it is x @ w1 + b1.
+    are rows 0 and 1 of one (2, P) float32 array, params: theta and
+    target_theta. Each row holds w1, b1, w2, b2, each row-major, which is
+    exactly the network.bin body. The four names are views of theta, and so
+    are the plain attributes _w1, _b1, _w2 and _b2 that the
+    single-observation pass reads: assignment copies into the views, so
+    neither form goes stale. named(target_theta) gives the target's views.
+    Since b1 directly follows w1, theta's head is also the stacked (in + 1,
+    hidden) matrix [w1; b1]: a batch row ending in 1.0 times it is
+    x @ w1 + b1.
 
-    Built once with params: a float32 (2, P) mirror of it with its stacked
-    [w1; b1], w2 and b2 views, which stacked_forward reads, and the float32
-    gradient vector with its block views, which the learner step fills.
-    stacked_forward refreshes the mirror from params before every pass, so
-    no write to params, whatever its path, leaves the batch path reading
-    stale weights. Weights initialize from Uniform[-1/sqrt(fan_in),
-    +1/sqrt(fan_in)], biases from zero, and the target from a sync. Without
-    an rng all parameters start at zero.
+    Built once with params: its stacked [w1; b1], w2 and b2 views over both
+    rows, which stacked_forward reads, and the gradient vector with its block
+    views, which the learner step fills. Every weight lives in params alone,
+    so no write, whatever its path, leaves a pass reading stale weights.
+    Weights initialize from Uniform[-1/sqrt(fan_in), +1/sqrt(fan_in)],
+    rounded to float32, biases from zero, and the target from a sync.
+    Without an rng all parameters start at zero.
     """
 
     w1 = _param("w1")
@@ -165,13 +160,12 @@ class QNetwork:
                  rng: Optional[Rng] = None):
         self.sizes = (input_size, hidden_size, output_size)
         self.input_size, self.hidden_size, self.output_size = self.sizes
-        self.params = np.zeros((2, _theta_size(*self.sizes)))
+        self.params = np.zeros((2, _theta_size(*self.sizes)), np.float32)
         self.theta, self.target_theta = self.params
         # the views the properties return, read without the property call
         self._w1, self._b1, self._w2, self._b2 = self.named(self.theta).values()
-        self.mirror = np.empty(self.params.shape, np.float32)
-        self.mirror_w1b1, self.mirror_w2, b2 = self.blocks(self.mirror)
-        self.mirror_b2 = b2[:, np.newaxis]  # (2, 1, out): broadcasts over B
+        w1b1, w2, b2 = self.blocks(self.params)
+        self.stacked = (w1b1, w2, b2[:, np.newaxis])  # b2 broadcasts over B
         self.grad = np.empty(self.theta.shape, np.float32)
         self.grad_blocks = self.blocks(self.grad)
         if rng is not None:
@@ -183,7 +177,7 @@ class QNetwork:
 
     def blocks(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of the [w1; b1], w2 and b2 blocks of an array laid out as
-        theta along its last axis (theta, a gradient, params or the mirror):
+        theta along its last axis (theta, a gradient or params):
         the blocks a batch gradient fills, and every parameter view's
         source."""
         i, h, o = self.sizes
@@ -202,8 +196,8 @@ class QNetwork:
     # arithmetic as max(obs @ w1 + b1, 0), without a second temporary.
     # ndarray.dot runs the same BLAS call as @ at a lower dispatch cost.
     def forward(self, obs: np.ndarray) -> np.ndarray:
-        """Q-values for one observation (in,) or a batch (B, in), in
-        float64; numpy's dot raises ValueError on any other width."""
+        """Q-values for one observation (in,) or a batch (B, in); numpy's
+        dot raises ValueError on any other width."""
         hidden = obs.dot(self._w1)
         hidden += self._b1
         np.maximum(hidden, 0.0, out=hidden)
@@ -212,19 +206,17 @@ class QNetwork:
         return q
 
     def stacked_forward(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Both rows of params in float32: rows[r], B replay rows each ending
-        in the bias input 1.0, through the network on row r. Returns the rows
-        as float32 (2, B, in + 1), the hidden layers (2, B, hidden) and the
-        Q-values (2, B, out)."""
-        self.mirror[...] = self.params
-        x = rows.astype(np.float32)
-        hidden = np.matmul(x, self.mirror_w1b1)
+        """Both rows of params at once: rows[r], B float32 replay rows each
+        ending in the bias input 1.0, through the network on row r. Returns
+        the hidden layers (2, B, hidden) and the Q-values (2, B, out)."""
+        w1b1, w2, b2 = self.stacked
+        hidden = np.matmul(rows, w1b1)
         # the same elementwise max as against 0.0; numpy's array-array loop
         # runs faster than its array-scalar one
         np.maximum(hidden, _zeros(hidden.shape), out=hidden)
-        q = np.matmul(hidden, self.mirror_w2)
-        q += self.mirror_b2
-        return x, hidden, q
+        q = np.matmul(hidden, w2)
+        q += b2
+        return hidden, q
 
     def clone(self) -> "QNetwork":
         """An independent network whose params, both rows, are a bitwise
@@ -242,22 +234,23 @@ def sync_target(net: QNetwork) -> None:
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with strict FIFO eviction.
 
-    obs and next_obs are rows 0 and 1 of one (2, capacity, OBSERVATION_SIZE +
-    1) array, so one take samples both, stacked as QNetwork.stacked_forward
-    runs them. Each stored row is the observation followed by a constant 1.0,
-    the bias input of [w1; b1], so a sampled batch feeds the forward as it
-    comes, with no column appended per step. push writes the 1.0 with its
-    row: rows never pushed stay untouched zero pages.
+    obs and next_obs are rows 0 and 1 of one float32 (2, capacity,
+    OBSERVATION_SIZE + 1) array, so one take samples both, stacked as
+    QNetwork.stacked_forward runs them; rewards are float32 too. Each stored
+    row is the observation followed by a constant 1.0, the bias input of
+    [w1; b1], so a sampled batch feeds the forward as it comes, with no
+    column appended per step. push writes the 1.0 with its row: rows never
+    pushed stay untouched zero pages.
     """
 
     def __init__(self, capacity: int = 10_000):
         self.capacity = capacity
-        self._rows = np.zeros((2, capacity, OBSERVATION_SIZE + 1))
+        self._rows = np.zeros((2, capacity, OBSERVATION_SIZE + 1), np.float32)
         # push writes through plain views of the two rows: 2-D indexing
         # costs less than 3-D
         self._obs, self._next_obs = self._rows
         self._actions = np.zeros(capacity, dtype=np.int64)
-        self._rewards = np.zeros(capacity)
+        self._rewards = np.zeros(capacity, np.float32)
         self._terminals = np.zeros(capacity, dtype=bool)
         self._cursor = 0
         self._size = 0
@@ -286,19 +279,6 @@ class ReplayBuffer:
         return (self._rows.take(idx, axis=1), self._actions[idx],
                 self._rewards[idx], self._terminals[idx])
 
-    def snapshot(self) -> list[tuple]:
-        """Stored (obs, action, reward, next_obs, terminal) rows, oldest
-        first; obs and next_obs as pushed, without the bias input."""
-        if self._size < self.capacity:
-            order = range(self._size)
-        else:
-            order = [(self._cursor + i) % self.capacity
-                     for i in range(self.capacity)]
-        return [(self._obs[i, :-1].copy(), int(self._actions[i]),
-                 float(self._rewards[i]), self._next_obs[i, :-1].copy(),
-                 bool(self._terminals[i]))
-                for i in order]
-
 
 _ACTIONS = tuple(Action)
 
@@ -316,25 +296,25 @@ def td_targets(batch, net: QNetwork, discount: float):
     batch is ReplayBuffer.sample()'s (rows, actions, rewards, terminals).
     net's one stacked forward runs its target row on the batch's next_obs
     and its estimation row on the batch's obs. Returns the float32 targets
-    and that forward's row 0, (obs, hidden, q) in float32, as
-    loss_and_gradients takes it.
+    and that forward's row 0, (obs, hidden, q), as loss_and_gradients
+    takes it.
     """
     rows, _, rewards, terminals = batch
-    x, hidden, q = net.stacked_forward(rows)
+    hidden, q = net.stacked_forward(rows)
     # max is exact, so reducing down the contiguous transpose equals
     # q.max(axis=1) at a lower call cost
     targets = np.maximum.reduce(np.ascontiguousarray(q[1].T), axis=0)
     # rewards + discount * best * ~terminals, in that order, in place
     targets *= discount
     targets *= ~terminals
-    targets += rewards.astype(np.float32)
-    return targets, (x[0], hidden[0], q[0])
+    targets += rewards
+    return targets, (rows[0], hidden[0], q[0])
 
 
 def loss_and_gradients(net: QNetwork, actions: np.ndarray,
                        targets: np.ndarray, forward) -> float:
     """Mean squared TD error on the taken actions; its analytic gradient
-    goes into net.grad, all in float32.
+    goes into net.grad.
 
     forward is row 0 of net's stacked_forward, (obs, hidden, q), where the
     obs rows end in the bias input 1.0. Every entry of net.grad is
@@ -353,8 +333,7 @@ def loss_and_gradients(net: QNetwork, actions: np.ndarray,
     # np.dot, not np.matmul: the same gemm at a lower dispatch cost
     np.dot(hidden.T, dq, out=w2_grad)
     np.add.reduce(dq, axis=0, out=b2_grad)
-    # w2 as the forward read it, from the mirror
-    dz1 = dq @ net.mirror_w2[0].T
+    dz1 = dq @ net._w2.T
     # hidden > 0 exactly where the pre-activation is > 0 (NaN in neither)
     dz1 *= hidden > 0.0
     # the bias column makes the last row of this product dz1's column sum,
@@ -374,7 +353,6 @@ def train_step(net: QNetwork, buffer: ReplayBuffer, hp: Hyperparameters,
     loss = loss_and_gradients(net, batch[1], targets, forward)
     grad = net.grad
     grad *= hp.learning_rate
-    # the float32 step lands in the float64 master weights
     net.theta -= grad
     return loss
 
@@ -447,7 +425,9 @@ def load_network(path) -> QNetwork:
 
     The header's dims must all be positive, and the size they imply must be
     the file's size to the byte; both are checked before any array is
-    allocated.
+    allocated. Each float64 value is rounded to the nearest float32, so a
+    file save_network wrote loads exactly; one whose value rounds past
+    float32's range is rejected.
     """
     with open(path, "rb") as fh:
         header = fh.read(len(NETWORK_MAGIC) + 12)
@@ -466,6 +446,11 @@ def load_network(path) -> QNetwork:
         if body > needed:
             raise ValueError(f"network file has {body - needed} trailing bytes")
         net = QNetwork(*sizes)
-        net.theta[:] = np.frombuffer(fh.read(needed), dtype="<f8")
+        try:
+            with np.errstate(over="raise"):
+                net.theta[:] = np.frombuffer(fh.read(needed), dtype="<f8")
+        except FloatingPointError:
+            raise ValueError("network file holds a value past float32's "
+                             "range") from None
     sync_target(net)
     return net

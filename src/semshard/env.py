@@ -104,7 +104,8 @@ class ShardEnv:
         return self._n
 
     def observe(self) -> np.ndarray:
-        """(K, S, N, round), each scaled to [0, 1] by its maximum.
+        """(K, S, N, round), each scaled to [0, 1] by its maximum, in the
+        learner's float32.
 
         Not the round's rate or semantic time: each round draws them afresh.
         """
@@ -114,7 +115,7 @@ class ShardEnv:
             self._s / cfg.avg_message_size_max,
             self._n / cfg.nodes_max,
             self._round / cfg.rounds_per_episode,
-        ])
+        ], np.float32)
 
     # -- dynamics ----------------------------------------------------------
 

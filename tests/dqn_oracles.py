@@ -11,20 +11,22 @@ OBS = 8
 
 
 def loss_and_fresh_gradient(net, obs, actions, targets):
-    """loss_and_gradients for net alone, and a copy of the float32 gradient
-    it leaves in net.grad; the forward is row 0 of net's stacked pass, with
-    obs on both rows, and the targets enter as float32, as td_targets gives
-    them."""
-    x, hidden, q = net.stacked_forward(np.stack([obs, obs]))
-    loss = loss_and_gradients(net, actions, targets.astype(np.float32),
-                              (x[0], hidden[0], q[0]))
+    """loss_and_gradients for net alone, and a copy of the gradient it
+    leaves in net.grad; the forward is row 0 of net's stacked pass, with the
+    float32 obs rows on both rows."""
+    hidden, q = net.stacked_forward(np.stack([obs, obs]))
+    loss = loss_and_gradients(net, actions, targets, (obs, hidden[0], q[0]))
     return loss, net.grad.copy()
 
 
 def numeric_gradients(net, obs, actions, targets, h=1e-5):
-    """Central finite differences over every parameter, of the float64
-    reference loss: no float32 rounding and no analytic backward pass."""
-    params = net.named(net.theta)
+    """Central finite differences over every parameter, of the reference
+    loss on float64 copies of the float32 parameters, obs and targets: the
+    same point as the program's, with no float32 rounding and no analytic
+    backward pass. On a float32 parameter itself, param +- h would round to
+    float32 and change the step."""
+    params = {k: v.astype(np.float64) for k, v in net.named(net.theta).items()}
+    obs, targets = obs.astype(np.float64), targets.astype(np.float64)
     grads = {}
     for name, param in params.items():
         grad = np.zeros_like(param)
@@ -50,20 +52,20 @@ def gradient_check_instance(seed, hidden=10, batch=4):
     the draw lands too close."""
     rng = Rng(seed)
     net = QNetwork(OBS, hidden, 5, rng)
-    obs = rng.uniform(0.05, 1.0, (batch, OBS))
+    obs = rng.uniform(0.05, 1.0, (batch, OBS)).astype(np.float32)
     z1 = obs @ net.w1 + net.b1
     if np.min(np.abs(z1)) < 1e-4:
         return None
     actions = rng.integers(0, 4, size=batch)
-    targets = rng.uniform(-1.0, 1.0, batch)
+    targets = rng.uniform(-1.0, 1.0, batch).astype(np.float32)
     # the loss takes replay rows, which end in the bias input 1.0
-    rows = np.hstack([obs, np.ones((batch, 1))])
+    rows = np.hstack([obs, np.ones((batch, 1), np.float32)])
     return net, rows, actions, targets
 
 
 def max_relative_gradient_error(net, obs, actions, targets):
-    """The program's float32 analytic gradient against central differences
-    of the float64 reference loss."""
+    """The program's analytic gradient against central differences of the
+    float64 reference loss."""
     _, grad = loss_and_fresh_gradient(net, obs, actions, targets)
     analytic = net.named(grad)
     numeric = numeric_gradients(net, obs[:, :-1], actions, targets)
@@ -76,13 +78,8 @@ def max_relative_gradient_error(net, obs, actions, targets):
     return worst
 
 
-def float32_params(params):
-    """float32 casts of a dict of float64 parameters."""
-    return {k: v.astype(np.float32) for k, v in params.items()}
-
-
-# The reference step keeps the float64 master parameters as four separate
-# arrays in a dict, and runs the batch on their float32 casts.
+# The reference step keeps the parameters as four separate arrays in a dict,
+# in the dtype the program's are: float32.
 
 def reference_forward(params, x):
     hidden = np.maximum(x @ params["w1"] + params["b1"], 0.0)
@@ -118,17 +115,16 @@ def reference_loss_and_gradients(params, obs, actions, targets):
 
 
 def reference_train_step(est, target, buffer, hp, rng):
-    """train_step on dict parameters: the batch in float32 on float32 casts
-    of the parameters, then SGD one float64 array at a time."""
+    """train_step on dict parameters: the batch, then SGD one array at a
+    time."""
     if len(buffer) < hp.batch_size:
         return None
     rows, actions, rewards, terminals = buffer.sample(hp.batch_size, rng)
     # the plain observations, without the replay rows' bias input
-    obs, next_obs = rows[:, :, :-1].astype(np.float32)
-    batch = (obs, actions, rewards.astype(np.float32), next_obs, terminals)
-    targets = reference_td_targets(batch, float32_params(target), hp.discount)
-    loss, grads = reference_loss_and_gradients(float32_params(est), obs,
-                                               actions, targets)
+    obs, next_obs = rows[:, :, :-1]
+    batch = (obs, actions, rewards, next_obs, terminals)
+    targets = reference_td_targets(batch, target, hp.discount)
+    loss, grads = reference_loss_and_gradients(est, obs, actions, targets)
     for name, param in est.items():
         param -= hp.learning_rate * grads[name]
     return loss

@@ -136,7 +136,8 @@ def test_criterion_4_dqn_correctness():
     for i in range(250):
         fifo.push(np.zeros(OBSERVATION_SIZE), 0, float(i),
                   np.zeros(OBSERVATION_SIZE), False)
-    kept = [t[2] for t in fifo.snapshot()]
+    # the ring from its cursor on, oldest first
+    kept = np.roll(fifo._rewards, -fifo._cursor).tolist()
     fifo_ok = kept == [float(i) for i in range(150, 250)]
 
     elapsed = time.time() - started

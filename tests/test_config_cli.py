@@ -701,6 +701,31 @@ class TestCmdEvalThroughput:
                          "--nodes", "100"])
         assert code == 2
 
+    @pytest.fixture
+    def no_partition(self, monkeypatch):
+        """Fails the test if eval-throughput builds a partition: its list of
+        --shards sizes is what a huge valid --shards would allocate."""
+        def refuse(*args):
+            raise AssertionError(f"partition{args} called")
+        monkeypatch.setattr(cli, "partition", refuse, raising=False)
+
+    def test_huge_valid_sharding_runs_without_a_partition(self, capsys,
+                                                           no_partition):
+        # a list of 10**9 shard sizes would take about 8 GB
+        assert cli.main(["eval-throughput", "--shards", "1000000000",
+                         "--nodes", "4000000000"]) == 0
+        assert self._parse(capsys.readouterr().out)["t_round"] > 0
+
+    @pytest.mark.parametrize("shards, code", [(0, 2), (1, 0), (25, 0),
+                                              (26, 2)])
+    def test_shards_bounded_by_nodes_over_min_shard_size(
+            self, capsys, no_partition, shards, code):
+        # 100 nodes of at least 4 hold 1 to 25 shards
+        assert cli.main(["eval-throughput", "--shards", str(shards),
+                         "--nodes", "100"]) == code
+        err = capsys.readouterr().err
+        assert ("--shards" in err) == (code == 2)
+
     @pytest.mark.parametrize("flag, value", [
         ("--rate", "0"), ("--rate", "nan"), ("--rate", "inf"),
         ("--msg-size", "-5"), ("--sem-time", "-1"), ("--sem-time", "inf"),

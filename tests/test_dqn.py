@@ -1,12 +1,17 @@
 import itertools
 import math
 import struct
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semshard.dqn as dqn
-from dqn_oracles import (float32_params, gradient_check_instance,
+from dqn_oracles import (gradient_check_instance,
                          max_relative_gradient_error, reference_forward,
                          reference_train_step)
 from pinned_draws import PINNED, PinnedEnv, pinned_config
@@ -31,7 +36,9 @@ def toy_net(b2=None):
 
 
 def random_obs(rng, n=1):
-    return rng.uniform(0.0, 1.0, (n, OBS)) if n > 1 else rng.uniform(0.0, 1.0, OBS)
+    """Observations in float32, as ShardEnv.observe gives them."""
+    shape = (n, OBS) if n > 1 else OBS
+    return rng.uniform(0.0, 1.0, shape).astype(np.float32)
 
 
 class TestForward:
@@ -95,13 +102,15 @@ class TestAct:
 
 
 def zero_obs_bundle(actions, rewards, terminals):
-    """A ReplayBuffer.sample()-shaped batch with all-zero observations: each
-    obs and next_obs row is OBS zeros and the bias input 1.0."""
+    """A ReplayBuffer.sample()-shaped batch, in its dtypes, with all-zero
+    observations: each obs and next_obs row is OBS zeros and the bias input
+    1.0."""
     n = len(actions)
-    rows = np.zeros((2, n, OBS + 1))
+    rows = np.zeros((2, n, OBS + 1), np.float32)
     rows[..., -1] = 1.0
     return (rows, np.array(actions, dtype=np.int64),
-            np.array(rewards, dtype=float), np.array(terminals, dtype=bool))
+            np.array(rewards, dtype=np.float32),
+            np.array(terminals, dtype=bool))
 
 
 class TestTdTargets:
@@ -127,21 +136,19 @@ class TestTdTargets:
         net = QNetwork(OBS, 16, 5, rng)
         net.w2 = rng.uniform(-1, 1, (16, 5))
         obs, next_obs = random_obs(rng, 3), random_obs(rng, 3)
-        rows = np.ones((2, 3, OBS + 1))
+        rows = np.ones((2, 3, OBS + 1), np.float32)
         rows[0, :, :-1], rows[1, :, :-1] = obs, next_obs
-        batch = (rows, np.array([0, 1, 2]), np.zeros(3),
+        batch = (rows, np.array([0, 1, 2]), np.zeros(3, np.float32),
                  np.zeros(3, dtype=bool))
         targets, (x, hidden, q) = td_targets(batch, net, 0.5)
-        # each against a plain float32 pass on its row's float32 weights
-        obs, next_obs = obs.astype(np.float32), next_obs.astype(np.float32)
-        est32 = float32_params(net.named(net.theta))
-        target32 = float32_params(net.named(net.target_theta))
+        # each against a plain pass on its row's weights
+        est, target = net.named(net.theta), net.named(net.target_theta)
         assert np.array_equal(
-            targets, 0.5 * reference_forward(target32, next_obs).max(axis=1))
-        assert np.array_equal(x, rows[0].astype(np.float32))
-        assert np.array_equal(q, reference_forward(est32, obs))
+            targets, 0.5 * reference_forward(target, next_obs).max(axis=1))
+        assert np.array_equal(x, rows[0]) and np.shares_memory(x, rows)
+        assert np.array_equal(q, reference_forward(est, obs))
         assert np.array_equal(hidden,
-                              np.maximum(obs @ est32["w1"] + est32["b1"], 0.0))
+                              np.maximum(obs @ est["w1"] + est["b1"], 0.0))
         assert targets.dtype == q.dtype == hidden.dtype == np.float32
 
 
@@ -207,14 +214,14 @@ class TestSyncTarget:
     def test_forward_equal_after_sync(self):
         net = QNetwork(OBS, 32, 5, Rng(5))
         net.target_theta[:] = QNetwork(OBS, 32, 5, Rng(6)).theta
-        rows = np.ones((100, OBS + 1))
+        rows = np.ones((100, OBS + 1), np.float32)
         rows[:, :-1] = random_obs(Rng(7), 100)
         rows = np.stack([rows, rows])  # the same inputs on both rows
-        _, _, q = net.stacked_forward(rows)
+        _, q = net.stacked_forward(rows)
         assert not np.array_equal(q[0], q[1])
         sync_target(net)
         assert net.target_theta.tobytes() == net.theta.tobytes()
-        _, _, q = net.stacked_forward(rows)
+        _, q = net.stacked_forward(rows)
         assert np.array_equal(q[0], q[1])
 
     def test_target_frozen_between_syncs(self):
@@ -298,7 +305,8 @@ class TestFlatParameters:
     def test_assignment_reaches_forward_and_saved_bytes(self, tmp_path):
         net = QNetwork(OBS, 16, 5, Rng(1))
         x = random_obs(Rng(2))
-        w2 = Rng(3).uniform(-1, 1, (16, 5))
+        # float32, as the weights are, so the saved float64 bytes are exact
+        w2 = Rng(3).uniform(-1, 1, (16, 5)).astype(np.float32)
         hidden = np.maximum(x @ net.w1 + net.b1, 0.0)
         save_network(net, tmp_path / "before.bin")
         net.w2 = w2
@@ -345,13 +353,12 @@ class TestFlatParameters:
                 assert np.array_equal(view, want[k]), (source, k)
                 assert np.shares_memory(view, net.theta), (source, k)
         # theta's blocks, and the stacked blocks the stacked forward reads,
-        # at theta's row of the float32 mirror once a forward refreshed it
+        # at theta's row of params
         block_want = (np.arange(w2_at).reshape(i + 1, h), want["w2"],
                       want["b2"])
-        net.stacked_forward(np.ones((2, 1, i + 1)))
-        mirror = (net.mirror_w1b1[0], net.mirror_w2[0], net.mirror_b2[0, 0])
+        w1b1, w2, b2 = net.stacked
         for views, source in ((net.blocks(net.theta), net.theta),
-                              (mirror, net.mirror[0])):
+                              ((w1b1[0], w2[0], b2[0, 0]), net.theta)):
             for view, expected in zip(views, block_want):
                 assert view.shape == expected.shape
                 assert np.array_equal(view, expected)
@@ -366,8 +373,11 @@ class TestFlatParameters:
         assert twin.sizes == net.sizes
         assert twin.params.tobytes() == net.params.tobytes()
         for mine, theirs in ((twin.params, net.params),
-                             (twin.mirror, net.mirror), (twin.grad, net.grad)):
+                             (twin.grad, net.grad)):
             assert not np.shares_memory(mine, theirs)
+        # the twin's batch pass reads its own params
+        for view in twin.stacked:
+            assert np.shares_memory(view, twin.params)
         for name in ("w1", "b1", "w2", "b2"):
             assert np.shares_memory(getattr(twin, name), twin.theta)
         before = net.params.copy()
@@ -400,9 +410,9 @@ class TestFlatParameters:
         assert not np.array_equal(net.theta, frozen)
 
 
-class TestFloat32Mirror:
-    # the batch path reads a float32 mirror of the float64 master weights;
-    # after any write to them, the next batch forward must read the new ones
+class TestBatchForward:
+    # the batch path reads params through views built once; after any write
+    # to the weights, the next batch forward must read the new ones
     def write(self, how, net, tmp_path):
         """Apply one write path; return the network whose batch forward is
         checked next."""
@@ -416,7 +426,7 @@ class TestFloat32Mirror:
         elif how == "sync_target":
             # row 0 moves first, so the sync writes new weights into row 1
             net.w2 = rng.uniform(-1, 1, (16, 5))
-            net.stacked_forward(np.ones((2, 1, OBS + 1)))
+            net.stacked_forward(np.ones((2, 1, OBS + 1), np.float32))
             sync_target(net)
         else:
             buffer = ReplayBuffer(10)
@@ -431,14 +441,13 @@ class TestFloat32Mirror:
     def test_next_batch_forward_reads_the_current_weights(self, how,
                                                           tmp_path):
         net = QNetwork(OBS, 16, 5, Rng(11))
-        rows = np.ones((2, 6, OBS + 1))
+        rows = np.ones((2, 6, OBS + 1), np.float32)
         rows[..., :-1] = Rng(13).uniform(0.0, 1.0, (2, 6, OBS))
-        net.stacked_forward(rows)  # the mirror as of before the write
+        net.stacked_forward(rows)  # a pass as of before the write
         net = self.write(how, net, tmp_path)
-        _, _, q = net.stacked_forward(rows)
+        _, q = net.stacked_forward(rows)
         for r, flat in enumerate((net.theta, net.target_theta)):
-            want = reference_forward(float32_params(net.named(flat)),
-                                     rows[r, :, :-1].astype(np.float32))
+            want = reference_forward(net.named(flat), rows[r, :, :-1])
             assert np.array_equal(q[r], want), r
 
 
@@ -448,7 +457,8 @@ class TestReplayBuffer:
         for i in range(250):
             buffer.push(np.zeros(OBS), 0, float(i), np.zeros(OBS), False)
         assert len(buffer) == 100
-        rewards = [t[2] for t in buffer.snapshot()]
+        # the ring from its cursor on, oldest first
+        rewards = np.roll(buffer._rewards, -buffer._cursor).tolist()
         assert rewards == [float(i) for i in range(150, 250)]
 
     def test_sample_with_replacement_covers_buffer(self):
@@ -463,7 +473,8 @@ class TestReplayBuffer:
         rng = Rng(1)
         stored = {}
         for i in range(12):  # wraps the ring twice
-            obs, next_obs = rng.uniform(-1, 1, OBS), rng.uniform(-1, 1, OBS)
+            obs, next_obs = (rng.uniform(-1, 1, OBS).astype(np.float32)
+                             for _ in range(2))
             buffer.push(obs, i % 5, float(i), next_obs, False)
             stored[float(i)] = (obs, next_obs)
         rows, _, rewards, _ = buffer.sample(200, Rng(2))
@@ -486,15 +497,16 @@ class TestReplayBuffer:
             assert set(rewards) == {float(j) for j in range(max(1, i - 5),
                                                             i + 1)}
 
-    def test_snapshot_rows_have_the_observation_width(self):
+    def test_stored_rows_have_the_observation_width(self):
         buffer = ReplayBuffer(5)
         for i in range(7):
             buffer.push(np.full(OBS, i), 0, 0.0, np.full(OBS, -i), False)
-        rows = buffer.snapshot()
-        assert len(rows) == 5
-        for i, (obs, _, _, next_obs, _) in zip(range(2, 7), rows):
-            assert np.array_equal(obs, np.full(OBS, i))
-            assert np.array_equal(next_obs, np.full(OBS, -i))
+        assert len(buffer) == 5
+        # each row, oldest first, is the observation and the bias input
+        obs, next_obs = np.roll(buffer._rows, -buffer._cursor, axis=1)
+        for i, row, next_row in zip(range(2, 7), obs, next_obs, strict=True):
+            assert np.array_equal(row, [i] * OBS + [1.0])
+            assert np.array_equal(next_row, [-i] * OBS + [1.0])
 
 
 class TestInitialization:
@@ -560,6 +572,56 @@ class TestSerialization:
         assert (loaded.input_size, loaded.hidden_size, loaded.output_size) \
             == (OBS, 32, 5)
 
+    @staticmethod
+    def write_body(path, dims, body):
+        path.write_bytes(dqn.NETWORK_MAGIC + struct.pack("<III", *dims)
+                         + np.asarray(body, "<f8").tobytes())
+
+    def test_values_round_to_the_nearest_float32(self, tmp_path):
+        # float32's spacing just above 1.0 is ulp, so 1 + ulp / 2 is a tie
+        ulp, tiny = 2.0 ** -23, 2.0 ** -40
+        cases = [(1 + ulp / 2, 1.0),  # tie, to the even neighbour
+                 (1 + 1.5 * ulp, 1 + 2 * ulp),  # tie, to the even one
+                 (1 + ulp / 2 + tiny, 1 + ulp),
+                 (-(1 + ulp / 2 - tiny), -1.0),
+                 (np.inf, np.inf), (-np.inf, -np.inf)]
+        # (3, 1, 1) holds six values: w1 (3), b1, w2 and b2
+        self.write_body(tmp_path / "net.bin", (3, 1, 1), [v for v, _ in cases])
+        theta = load_network(tmp_path / "net.bin").theta
+        assert theta.tolist() == [want for _, want in cases]
+        # values of every scale float32 keeps: no float32 lies nearer
+        rng, dims = Rng(17), (OBS, 16, 5)
+        size = QNetwork(*dims).theta.size
+        values = rng.normal(1.0, size) * 10.0 ** rng.uniform(-40, 37, size)
+        self.write_body(tmp_path / "net.bin", dims, values)
+        theta = load_network(tmp_path / "net.bin").theta
+        for value, got in zip(values.tolist(), theta):
+            distance = abs(Fraction(value) - Fraction(float(got)))
+            for way in (-np.inf, np.inf):
+                neighbour = Fraction(float(np.nextafter(got, np.float32(way))))
+                assert distance <= abs(Fraction(value) - neighbour), value
+
+    @pytest.mark.parametrize("value", [3.5e38, -1e300])
+    def test_value_past_float32_range_rejected(self, tmp_path, value):
+        self.write_body(tmp_path / "net.bin", (1, 1, 1), [0.0, value, 0, 0])
+        with pytest.raises(ValueError, match="float32's range"):
+            load_network(tmp_path / "net.bin")
+
+    @given(dims=st.tuples(*[st.integers(1, 4)] * 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_save_of_load_is_byte_identical(self, dims, data):
+        # any file save_network writes: any float32 weights, the
+        # infinities, subnormals and a NaN included
+        net = QNetwork(*dims)
+        net.theta[:] = data.draw(st.lists(
+            st.floats(width=32, allow_nan=False) | st.just(math.nan),
+            min_size=net.theta.size, max_size=net.theta.size))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.bin"), Path(tmp, "second.bin")
+            save_network(net, first)
+            save_network(load_network(first), second)
+            assert second.read_bytes() == first.read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTANET!" + b"\0" * 64)
@@ -624,8 +686,8 @@ class TestHyperparameters:
         # is rejected naming its key, and neither allocates anything
         limit = dqn.MAX_ARRAY_BYTES
         for key, fits, others in (
-                ("buffer_capacity", limit // 80, {}),  # 2 rows x 5 x 8 bytes
-                ("hidden_units", (limit - 80) // 160,  # 2 x (10 h + 5) x 8
+                ("buffer_capacity", limit // 40, {}),  # 2 rows x 5 x 4 bytes
+                ("hidden_units", (limit - 40) // 80,  # 2 x (10 h + 5) x 4
                  {"batch_size": 1, "buffer_capacity": 1}),
                 ("batch_size", limit // 1024,  # 2 x 128 hidden x 4 bytes
                  {"buffer_capacity": limit // 1024 + 1}),

@@ -61,9 +61,12 @@ class TestObservation:
                 (k, s), n = env.sharding, env.n_nodes
                 node_counts.add(n)
                 assert obs.shape == (OBSERVATION_SIZE,)
-                assert np.array_equal(obs, [
+                # each ratio rounded once, to the learner's float32
+                assert obs.dtype == np.float32
+                assert np.array_equal(obs, np.array([
                     k / cfg.max_shards_cap, s / cfg.avg_message_size_max,
-                    n / cfg.nodes_max, round_index / cfg.rounds_per_episode])
+                    n / cfg.nodes_max, round_index / cfg.rounds_per_episode],
+                    np.float32))
                 if env.terminal:
                     break
                 obs, _, _, _ = env.step(Action(int(rng.integers(0, 4))), rng)
