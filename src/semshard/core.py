@@ -86,13 +86,13 @@ class NetworkConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"network.{name}: must be strictly positive")
-        # each round of an episode logs an EpisodeRecord: about 249 bytes
-        # with its floats and list slot, as tracemalloc measured it on
-        # CPython 3.11, rounded up to 256
-        nbytes = self.rounds_per_episode * 256
+        # a round holds its EpisodeRecord and its entries in reset's path:
+        # about 274 bytes with their numbers and list slots, as tracemalloc
+        # measured 200,000 rounds on CPython 3.11, rounded up to 288
+        nbytes = self.rounds_per_episode * 288
         if nbytes > MAX_ARRAY_BYTES:
             raise ConfigError(f"network.rounds_per_episode: one episode's log "
-                              f"would take {nbytes} bytes, more than "
+                              f"and path would take {nbytes} bytes, more than "
                               f"{MAX_ARRAY_BYTES}")
         if self.semantic_dim * 8 > MAX_ARRAY_BYTES:
             # one semantic vector of float64s
@@ -100,7 +100,7 @@ class NetworkConfig:
                               f"would take {self.semantic_dim * 8} bytes, "
                               f"more than {MAX_ARRAY_BYTES}")
         if 2 * self.node_walk_step + 1 > MAX_INTEGER_SPAN:
-            # each round draws the walk from [-step, step] with Rng.integers
+            # a walk is made on [-step, step] as Rng.integers makes it
             raise ConfigError("network.node_walk_step: the walk's span "
                               "2 * step + 1 must be <= 2**32")
         if self.rate_min > self.rate_max:
@@ -256,12 +256,12 @@ class Rng:
             self._next = j
             served = self._block[i:j]
         else:
-            # the rest of this block, then the generator's next doubles
+            # the rest of this block, then the generator's next doubles; the
+            # next block is an array of its own, since a view would keep the
+            # whole of a long draw alive
             head = self._block[i:]
-            tail = n - len(head)
-            fresh = self._gen.random(tail + BLOCK_DOUBLES)
-            self._start_block(fresh[tail:])
-            served = np.concatenate((head, fresh[:tail]))
+            served = np.concatenate((head, self._gen.random(n - len(head))))
+            self._start_block(self._gen.random(BLOCK_DOUBLES))
         return served if type(size) is int else served.reshape(size)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):

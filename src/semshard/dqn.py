@@ -378,20 +378,23 @@ def train(env: ShardEnv, hp: Hyperparameters, rng: Rng,
     """Full training loop: one episode per epoch, one gradient step per round.
 
     The target row re-syncs every hp.target_sync_interval gradient steps.
+    env draws its paths from rng, as run_baseline's does; the network's
+    init, the epsilon draws and the replay sampling take rng.spawn(1).
     Returns the trained network and the per-epoch reward rows.
     """
-    net = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
+    agent_rng = rng.spawn(1)
+    net = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, agent_rng)
     buffer = ReplayBuffer(hp.buffer_capacity)
     epsilons = [epsilon_for_epoch(hp, epoch) for epoch in range(hp.epochs)]
     grad_steps = itertools.count(1)  # numbers gradient steps across epochs
     losses, mean_losses = [], []  # this epoch's losses; each epoch's mean
 
     def play(epoch, obs):
-        action = act(net, obs, epsilons[epoch], rng)
-        result = env.step(action, rng)
+        action = act(net, obs, epsilons[epoch], agent_rng)
+        result = env.step(action)
         next_obs, reward, terminal, _ = result
         buffer.push(obs, int(action), reward, next_obs, terminal)
-        loss = train_step(net, buffer, hp, rng)
+        loss = train_step(net, buffer, hp, agent_rng)
         if loss is not None:
             losses.append(loss)
             if next(grad_steps) % hp.target_sync_interval == 0:

@@ -1,9 +1,9 @@
 """Round-based control environment for the verifier network.
 
-Each step: apply the agent's discrete action to the sharding setting, clamp it
-into the valid range for the current node count, draw the round's exogenous
-conditions (transmission rate, semantic processing time, node churn), and pay
-the resulting transaction throughput as reward.
+Each reset draws the episode's exogenous path: every round's transmission
+rate, semantic processing time and node count. Each step applies the agent's
+discrete action to the sharding setting, clamps it for the round's node
+count, and pays the resulting transaction throughput as reward.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class EpisodeLog:
 class ShardEnv:
     """Single-threaded environment; run independent instances for sweeps.
 
-    Every exogenous draw of a round (rate, semantic time, node churn) is read
-    from the rng passed to step or force_setting, and from nothing else.
+    draw_path makes every exogenous draw, from reset's rng alone. No action
+    changes the path, so policies reset on equal streams face equal rounds.
     """
 
     def __init__(self, cfg: NetworkConfig):
@@ -89,7 +89,25 @@ class ShardEnv:
         self._round = 0
         self._terminal = False
         self.log = EpisodeLog()
+        self._rates, self._t_sems, self._nodes = self.draw_path(rng)
         return self.observe()
+
+    def draw_path(self, rng: Rng) -> tuple[list, list, list]:
+        """The episode's rates, semantic times and node counts, a Python
+        float, float and int per round, from one (rounds, 3) draw of rng's
+        doubles: row r holds round r's, each made as Rng.uniform or
+        Rng.integers(-step, step) makes it. N walks from nodes_initial,
+        clamped to [nodes_min, nodes_max]."""
+        cfg, step = self.cfg, self.cfg.node_walk_step
+        u = rng.uniform(size=(cfg.rounds_per_episode, 3))
+        rates = cfg.rate_min + (cfg.rate_max - cfg.rate_min) * u[:, 0]
+        walks = (u[:, 2] * (2 * step + 1)).astype(np.int64) - step
+        n, nodes = cfg.nodes_initial, []
+        for walk in walks.tolist():
+            n = min(max(n + walk, cfg.nodes_min), cfg.nodes_max)
+            nodes.append(n)
+        return (rates.tolist(), (cfg.semantic_time_max * u[:, 1]).tolist(),
+                nodes)
 
     @property
     def terminal(self) -> bool:
@@ -105,10 +123,8 @@ class ShardEnv:
 
     def observe(self) -> np.ndarray:
         """(K, S, N, round), each scaled to [0, 1] by its maximum, in the
-        learner's float32.
-
-        Not the round's rate or semantic time: each round draws them afresh.
-        """
+        learner's float32; not the rate or semantic time, drawn afresh for
+        each round."""
         cfg = self.cfg
         return np.array([
             self._k / cfg.max_shards_cap,
@@ -119,7 +135,7 @@ class ShardEnv:
 
     # -- dynamics ----------------------------------------------------------
 
-    def step(self, action: Action, rng: Rng):
+    def step(self, action: Action):
         """Apply one agent action and advance a round.
 
         Returns (observation, reward, terminal, info).
@@ -135,36 +151,30 @@ class ShardEnv:
         if ds:
             s += ds * self.cfg.message_size_step
         k, s, clamped = clamp_sharding(k, s, self._n, self.cfg)
-        return self._advance(k, s, label, clamped, rng)
+        return self._advance(k, s, label, clamped)
 
-    def force_setting(self, num_shards: int, message_size: int, rng: Rng):
+    def force_setting(self, num_shards: int, message_size: int, _unused=None):
         """Advance a round with the setting pinned (policy bypass).
 
         Used by fixed-setting baselines and oracle tests; the setting is still
-        clamped against the current node count.
+        clamped against the current node count. The third argument is ignored;
+        the benchmark's self-test passes one until ROADMAP item 1 drops it.
         """
         self._require_active()
         k, s, clamped = clamp_sharding(num_shards, message_size, self._n, self.cfg)
-        return self._advance(k, s, "FORCED", clamped, rng)
+        return self._advance(k, s, "FORCED", clamped)
 
     def _require_active(self) -> None:
         if self._terminal:
             raise EpisodeFinishedError("episode finished; call reset()")
 
     def _advance(self, k_target: int, s_target: int, action_label: str,
-                 clamped: bool, rng: Rng):
-        cfg = self.cfg
+                 clamped: bool):
+        cfg, r = self.cfg, self._round
         k_prev = self._k
-        self._k, self._s = k_target, s_target
-
-        # what Rng.uniform(low, high) returns, low + (high - low) * u,
-        # without its extra call
-        rate = cfg.rate_min + (cfg.rate_max - cfg.rate_min) * rng.random()
-        t_sem = cfg.semantic_time_max * rng.random()
-        walk = rng.integers(-cfg.node_walk_step, cfg.node_walk_step)
-        self._n = min(max(self._n + walk, cfg.nodes_min), cfg.nodes_max)
+        rate, t_sem, self._n = self._rates[r], self._t_sems[r], self._nodes[r]
         # node churn can strand the shard count above the valid range
-        self._k, self._s, _ = clamp_sharding(self._k, self._s, self._n, cfg)
+        self._k, self._s, _ = clamp_sharding(k_target, s_target, self._n, cfg)
 
         reconfigured = self._k != k_prev
         lat = round_latency(self._k, self._s, self._n, rate, t_sem,
@@ -174,18 +184,19 @@ class ShardEnv:
 
         # positional, in field order: keywords cost ~0.6 us a record
         self.log.records.append(EpisodeRecord(
-            self._round, self._k, self._s, self._n, rate, t_sem, tps,
+            r, self._k, self._s, self._n, rate, t_sem, tps,
             action_label, clamped, reconfigured))
-        self._round += 1
+        self._round = r + 1
         self._terminal = self._round >= cfg.rounds_per_episode
         info = {"clamped": clamped, "reconfigured": reconfigured}
         return self.observe(), reward, self._terminal, info
 
 
 def run_episodes(env: ShardEnv, episodes: int, rng: Rng, play) -> list[float]:
-    """Mean reward per episode. Each episode resets env; play(episode, obs)
-    then advances each round with env.step or env.force_setting and returns
-    that call's 4-tuple. The score is total reward / rounds_per_episode."""
+    """Mean reward per episode. Each episode resets env on rng, drawing its
+    path; play(episode, obs) then advances each round with env.step or
+    env.force_setting and returns that call's 4-tuple. The score is total
+    reward / rounds_per_episode."""
     means = []
     for episode in range(episodes):
         obs = env.reset(rng)
@@ -207,4 +218,4 @@ def run_baseline(cfg: NetworkConfig, episodes: int, rng: Rng) -> list[float]:
     env = ShardEnv(cfg)
     k_fixed = cfg.nodes_initial // cfg.min_shard_size
     return run_episodes(env, episodes, rng, lambda episode, obs: (
-        env.force_setting(k_fixed, cfg.avg_message_size_max, rng)))
+        env.force_setting(k_fixed, cfg.avg_message_size_max)))

@@ -19,7 +19,7 @@ import pytest
 
 import semshard
 from dqn_oracles import gradient_check_instance, max_relative_gradient_error
-from pinned_draws import PINNED, RATE, SEMANTIC_TIME, pinned_config
+from pinned_draws import RATE, SEMANTIC_TIME, PinnedEnv, pinned_config
 from semshard.config import load_config
 from semshard.consensus import (AggregationFailure, Ledger, SemanticResult,
                                 commit, distribute_rewards,
@@ -29,7 +29,7 @@ from semshard.consensus import (AggregationFailure, Ledger, SemanticResult,
 from semshard.core import Content, Rng, VerifierNode
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, sync_target,
                           train_step)
-from semshard.env import OBSERVATION_SIZE, ShardEnv
+from semshard.env import OBSERVATION_SIZE
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -77,7 +77,7 @@ def test_criterion_1_formula_fidelity():
 def test_criterion_2_brute_force_oracle_equivalence():
     started = time.time()
     cfg = pinned_config(nodes_initial=100, rounds_per_episode=300)
-    env = ShardEnv(cfg)
+    env = PinnedEnv(cfg)
     env.reset(Rng(0))
     prev_k = 1  # reset state
     worst = 0.0
@@ -85,7 +85,7 @@ def test_criterion_2_brute_force_oracle_equivalence():
     for k in range(1, 100 // cfg.min_shard_size + 1):
         for s in range(cfg.message_size_min, cfg.avg_message_size_max + 1,
                        cfg.message_size_step):
-            _, reward, _, _ = env.force_setting(k, s, PINNED)
+            _, reward, _, _ = env.force_setting(k, s)
             expected = straight_line_reward(k, s, 100, RATE, SEMANTIC_TIME,
                                             k != prev_k)
             prev_k = k

@@ -281,7 +281,7 @@ class TestCmdTrain:
                  ("[agent]\nbatch_size = 5000000\n"
                   "buffer_capacity = 5000000\n", "agent.batch_size"),
                  ("[agent]\nepochs = 10000000000\n", "agent.epochs"),
-                 ("[network]\nrounds_per_episode = 4194305\n",
+                 ("[network]\nrounds_per_episode = 3728271\n",
                   "network.rounds_per_episode")]
         for i, (text, named) in enumerate(cases):
             path, out = tmp_path / f"bad{i}.cfg", tmp_path / f"o{i}"

@@ -100,7 +100,7 @@ def test_constructible_configs_run(cfg, hp):
         if env.terminal:
             obs = env.reset(rng)
         action = Action(int(rng.integers(0, NUM_ACTIONS - 1)))
-        next_obs, reward, terminal, _ = env.step(action, rng)
+        next_obs, reward, terminal, _ = env.step(action)
         assert math.isfinite(reward) and reward > 0.0
         buffer.push(obs, int(action), reward, next_obs, terminal)
         obs = next_obs

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,8 +80,8 @@ class TestNetworkConfig:
         (dict(accuracy_threshold=1.5), "accuracy_threshold"),
         (dict(node_walk_step=2**31), "node_walk_step"),
         (dict(node_walk_step=2**63), "node_walk_step"),
-        # 256 bytes a logged round
-        (dict(rounds_per_episode=MAX_ARRAY_BYTES // 256 + 1),
+        # 288 bytes a round, its log record and its path entries
+        (dict(rounds_per_episode=MAX_ARRAY_BYTES // 288 + 1),
          "rounds_per_episode"),
         # 8 bytes a vector component
         (dict(semantic_dim=MAX_ARRAY_BYTES // 8 + 1), "semantic_dim"),
@@ -90,8 +91,8 @@ class TestNetworkConfig:
             NetworkConfig(**kwargs)
 
     def test_longest_episode_whose_log_fits_is_accepted(self):
-        assert MAX_ARRAY_BYTES // 256 == 4_194_304
-        NetworkConfig(rounds_per_episode=MAX_ARRAY_BYTES // 256)
+        assert MAX_ARRAY_BYTES // 288 == 3_728_270
+        NetworkConfig(rounds_per_episode=MAX_ARRAY_BYTES // 288)
 
     def test_widest_semantic_vector_that_fits_is_accepted(self):
         NetworkConfig(semantic_dim=MAX_ARRAY_BYTES // 8)
@@ -207,6 +208,18 @@ class TestRng:
             rng.random()
         assert np.array_equal(doubles, kept[0])
         assert np.array_equal(ints, kept[1])
+
+    def test_a_long_draw_leaves_only_a_block_behind(self):
+        # the block that follows a draw past its end is an array of its
+        # own: a view into the draw's doubles would keep them all alive
+        rng = Rng(23)
+        tracemalloc.start()
+        try:
+            rng.uniform(size=(100_000, 3))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 8 * BLOCK_DOUBLES
 
     def test_writing_a_served_array_leaves_later_draws_alone(self):
         a, b = Rng(22), Rng(22)

@@ -14,13 +14,14 @@ import semshard.dqn as dqn
 from dqn_oracles import (gradient_check_instance,
                          max_relative_gradient_error, reference_forward,
                          reference_train_step)
-from pinned_draws import PINNED, PinnedEnv, pinned_config
+from pinned_draws import PinnedEnv, pinned_config
 from semshard import cli
 from semshard.core import ConfigError, NetworkConfig, Rng
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, TrainRow,
                           act, epsilon_for_epoch, load_network, save_network,
                           sync_target, td_targets, train, train_step)
-from semshard.env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv
+from semshard.env import (NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv,
+                          run_baseline)
 
 OBS = OBSERVATION_SIZE  # the replay buffer's row width
 
@@ -284,7 +285,7 @@ class TestSameBitsAsReference:
             assert np.array_equal(net.forward(obs),
                                   reference_forward(ref_est, obs))
             action = act(net, obs, hp.epsilon, env_rng)
-            next_obs, reward, terminal, _ = env.step(action, env_rng)
+            next_obs, reward, terminal, _ = env.step(action)
             buffer.push(obs, int(action), reward, next_obs, terminal)
             loss = train_step(net, buffer, hp, rng)
             assert loss == reference_train_step(ref_est, ref_target, buffer,
@@ -726,8 +727,12 @@ class TestTraining:
                              epsilon=0.5, epsilon_decay=True, hidden_units=16)
         net, rows = train(ShardEnv(cfg), hp, Rng(7))
 
+        # the env draws its paths from the run's stream, the agent from
+        # that stream's spawn(1)
         rng, env = Rng(7), ShardEnv(cfg)
-        est = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS, rng)
+        agent_rng = rng.spawn(1)
+        est = QNetwork(OBSERVATION_SIZE, hp.hidden_units, NUM_ACTIONS,
+                       agent_rng)
         buffer = ReplayBuffer(hp.buffer_capacity)
         steps, expected = 0, []
         for epoch in range(hp.epochs):
@@ -735,10 +740,10 @@ class TestTraining:
             obs = env.reset(rng)
             total, losses = 0.0, []
             while not env.terminal:
-                action = act(est, obs, epsilon, rng)
-                next_obs, reward, terminal, _ = env.step(action, rng)
+                action = act(est, obs, epsilon, agent_rng)
+                next_obs, reward, terminal, _ = env.step(action)
                 buffer.push(obs, int(action), reward, next_obs, terminal)
-                loss = train_step(est, buffer, hp, rng)
+                loss = train_step(est, buffer, hp, agent_rng)
                 if loss is not None:
                     losses.append(loss)
                     steps += 1
@@ -755,6 +760,37 @@ class TestTraining:
         assert [r.mean_loss == 0.0 for r in rows] == [True] * 2 + [False] * 4
         assert len({r.epsilon for r in rows}) == hp.epochs
         assert steps % hp.target_sync_interval != 0
+
+    @pytest.mark.parametrize("nodes", [100, 500])
+    def test_every_episode_faces_the_baselines_path(self, nodes,
+                                                    monkeypatch):
+        # common random numbers: on equal seeds the adaptive and static
+        # runs see the same rate, semantic time and node count every round,
+        # whatever the agent draws for its actions and batches
+        logs = []
+        reset = ShardEnv.reset
+
+        def logging_reset(env, rng):
+            obs = reset(env, rng)
+            logs.append(env.log)
+            return obs
+
+        monkeypatch.setattr(ShardEnv, "reset", logging_reset)
+        cfg = NetworkConfig(nodes_initial=nodes, rounds_per_episode=40)
+        hp = Hyperparameters(epochs=8, batch_size=16)
+        paths = {}
+        for run in ("adaptive", "static"):
+            logs.clear()
+            if run == "adaptive":
+                train(ShardEnv(cfg), hp, Rng(4))
+            else:
+                run_baseline(cfg, hp.epochs, Rng(4))
+            paths[run] = [[(r.rate, r.semantic_time, r.n_nodes)
+                           for r in log.records] for log in logs]
+        assert paths["adaptive"] == paths["static"]
+        assert len(paths["static"]) == hp.epochs
+        assert all(len(path) == 40 for path in paths["static"])
+        assert len({path[-1] for path in paths["static"]}) == hp.epochs
 
     def test_csv_rows_schema(self, tmp_path):
         # semshard train on _smoke's scenario, seeded 42 as _smoke's Rng is
@@ -786,12 +822,12 @@ class TestTraining:
             for s in range(cfg.message_size_min, cfg.avg_message_size_max + 1,
                            cfg.message_size_step)) / cfg.reward_scale
 
-        eval_env = ShardEnv(cfg)
-        obs = eval_env.reset(PINNED)
+        eval_env = PinnedEnv(cfg)
+        obs = eval_env.reset(Rng(0))
         reward = 0.0
         while not eval_env.terminal:
             action = Action(int(np.argmax(net.forward(obs))))
-            obs, reward, _, _ = eval_env.step(action, PINNED)
+            obs, reward, _, _ = eval_env.step(action)
         assert reward >= 0.9 * best
 
     def test_full_exploration_matches_random_policy(self):
@@ -810,7 +846,7 @@ class TestTraining:
                         env.reset(rng)
                         while not env.terminal:
                             a = Action(int(rng.integers(0, 4)))
-                            _, r, _, _ = env.step(a, rng)
+                            _, r, _, _ = env.step(a)
                             total += r
                     means.append(total / (episodes * 25))
                 else:

@@ -4,8 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pinned_draws import (PINNED, RATE, SEMANTIC_TIME, PinnedEnv,
-                          pinned_config)
+from pinned_draws import RATE, SEMANTIC_TIME, PinnedEnv, pinned_config
 from semshard import dqn
 from semshard import env as env_module
 from semshard.core import ConfigError, NetworkConfig, Rng, partition
@@ -18,7 +17,7 @@ DRAWS = (RATE, SEMANTIC_TIME)  # rate 10 Mbps, semantic time 20 s
 
 def pinned_env(**cfg_kwargs):
     cfg = pinned_config(**cfg_kwargs)
-    return ShardEnv(cfg), cfg
+    return PinnedEnv(cfg), cfg
 
 
 def straight_line_reward(k, s, n, rate, t_sem, reconfigured):
@@ -69,71 +68,79 @@ class TestObservation:
                     np.float32))
                 if env.terminal:
                     break
-                obs, _, _, _ = env.step(Action(int(rng.integers(0, 4))), rng)
+                obs, _, _, _ = env.step(Action(int(rng.integers(0, 4))))
                 round_index += 1
         assert len(node_counts) > 1
 
-    def test_reset_draws_nothing(self):
-        rng = Rng(13)
-        ShardEnv(NetworkConfig()).reset(rng)
-        assert rng.uniform() == Rng(13).uniform()
-
 
 class TestDraws:
-    @pytest.mark.parametrize("cfg_kwargs", [
-        {}, {"rate_min": 7_300_001.5, "rate_max": 61_100_000,
-             "semantic_time_max": 13.7, "nodes_initial": 60}],
-        ids=["defaults", "int-rate-max"])
-    def test_rounds_draw_what_rng_uniform_draws(self, cfg_kwargs):
+    @pytest.mark.parametrize("cfg_kwargs,episodes", [
+        ({}, 3),
+        ({"rate_min": 7_300_001.5, "rate_max": 61_100_000,
+          "semantic_time_max": 13.7, "nodes_initial": 60}, 3),
+        # 3 * 1500 doubles a path, more than the Rng's 4096-double block:
+        # the second path takes the rest of a block, then fresh doubles
+        ({"rounds_per_episode": 1500, "nodes_min": 20, "node_walk_step": 9},
+         2)], ids=["defaults", "int-rate-max", "past-a-block"])
+    def test_rounds_draw_what_rng_uniform_draws(self, cfg_kwargs,
+                                                episodes):
         # a mirror stream of the same seed, drawing through Rng.uniform and
-        # Rng.integers in round order, must see every round's values
+        # Rng.integers round by round, must see every round's values, and
+        # then the double after the last path's: reset draws exactly
+        # rounds * 3 doubles, and step and force_setting draw none
         cfg = NetworkConfig(**cfg_kwargs)
         env = ShardEnv(cfg)
-        rng, mirror = Rng(31), Rng(31)
-        env.reset(rng)
-        while not env.terminal:
-            env.force_setting(cfg.nodes_initial // cfg.min_shard_size,
-                              cfg.avg_message_size_max, rng)
-        assert len(env.log.records) == cfg.rounds_per_episode
-        n = cfg.nodes_initial
-        for rec in env.log.records:
-            assert rec.rate == mirror.uniform(cfg.rate_min, cfg.rate_max)
-            assert rec.semantic_time == mirror.uniform(
-                0.0, cfg.semantic_time_max)
-            walk = mirror.integers(-cfg.node_walk_step, cfg.node_walk_step)
-            n = min(max(n + walk, cfg.nodes_min), cfg.nodes_max)
-            assert rec.n_nodes == n
+        rng, mirror, picks = Rng(31), Rng(31), Rng(32)
+        for _ in range(episodes):
+            env.reset(rng)
+            while not env.terminal:
+                if picks.random() < 0.5:
+                    env.step(Action(int(picks.integers(0, 4))))
+                else:
+                    env.force_setting(int(picks.integers(1, 30)),
+                                      cfg.avg_message_size_max)
+            assert len(env.log.records) == cfg.rounds_per_episode
+            n = cfg.nodes_initial
+            for rec in env.log.records:
+                assert rec.rate == mirror.uniform(cfg.rate_min, cfg.rate_max)
+                assert rec.semantic_time == mirror.uniform(
+                    0.0, cfg.semantic_time_max)
+                walk = mirror.integers(-cfg.node_walk_step,
+                                       cfg.node_walk_step)
+                n = min(max(n + walk, cfg.nodes_min), cfg.nodes_max)
+                assert rec.n_nodes == n
+                # Python numbers, so rewards.csv's repr() writes plain ones
+                assert type(rec.rate) is float and type(rec.n_nodes) is int
+        assert {r.action == "FORCED" for r in env.log.records} == {True, False}
+        assert len({r.n_nodes for r in env.log.records}) > 1
+        assert rng.random() == mirror.random()
 
-    @pytest.mark.parametrize("env_class", [ShardEnv, PinnedEnv])
-    def test_pinned_draws_fix_every_round(self, env_class):
-        # the premise of the oracle tests: under PINNED every round, stepped
-        # or forced, runs at rate_min and semantic_time_max with no churn,
-        # and PinnedEnv draws nothing from the rng it is handed
+    def test_pinned_draws_fix_every_round(self):
+        # the premise of the oracle tests: in PinnedEnv every round, stepped
+        # or forced, runs at rate_min and semantic_time_max with no churn
         cfg = pinned_config(nodes_initial=60, rounds_per_episode=40)
-        env = env_class(cfg)
-        rng = PINNED if env_class is ShardEnv else Rng(8)
-        picks = Rng(9)
+        env = PinnedEnv(cfg)
+        rng, picks = Rng(8), Rng(9)
         env.reset(rng)
         while not env.terminal:
             if picks.random() < 0.5:
-                env.step(Action(int(picks.integers(0, 4))), rng)
+                env.step(Action(int(picks.integers(0, 4))))
             else:
                 env.force_setting(int(picks.integers(1, 15)),
-                                  cfg.message_size_min, rng)
+                                  cfg.message_size_min)
         assert {r.action == "FORCED" for r in env.log.records} == {True, False}
         for rec in env.log.records:
-            assert rec.rate == cfg.rate_min
-            assert rec.semantic_time == cfg.semantic_time_max
+            assert rec.rate == cfg.rate_min == RATE
+            assert rec.semantic_time == cfg.semantic_time_max == SEMANTIC_TIME
             assert rec.n_nodes == cfg.nodes_initial
-        if rng is not PINNED:
-            assert rng.random() == Rng(8).random()
+        assert rng.random() == Rng(8).random()
 
 
 class TestStep:
     def test_noop_keeps_setting(self):
         env, _ = pinned_env()
         env.reset(Rng(0))
-        _, reward, _, info = env.step(Action.NOOP, PINNED)
+        _, reward, _, info = env.step(Action.NOOP)
         assert env.sharding == (1, 8_000_000)
         assert not info["clamped"] and not info["reconfigured"]
         assert reward == pytest.approx(
@@ -143,18 +150,18 @@ class TestStep:
         env, cfg = pinned_env()
         env.reset(Rng(0))
         for _ in range(24):  # ramp to the 25-shard cap
-            env.step(Action.INC_SHARDS, PINNED)
+            env.step(Action.INC_SHARDS)
         assert env.sharding[0] == 25
-        _, _, _, info = env.step(Action.INC_SHARDS, PINNED)
+        _, _, _, info = env.step(Action.INC_SHARDS)
         assert env.sharding[0] == 25
         assert info["clamped"] and not info["reconfigured"]
 
     def test_message_size_actions_move_by_one_step(self):
         env, cfg = pinned_env()
         env.reset(Rng(0))
-        env.step(Action.DEC_MSG, PINNED)
+        env.step(Action.DEC_MSG)
         assert env.sharding[1] == 8_000_000 - cfg.message_size_step
-        env.step(Action.INC_MSG, PINNED)
+        env.step(Action.INC_MSG)
         assert env.sharding[1] == 8_000_000
 
     def test_ramp_to_optimum_reward_profile(self):
@@ -162,28 +169,28 @@ class TestStep:
         env, _ = pinned_env(rounds_per_episode=60)
         env.reset(Rng(0))
         for _ in range(9):
-            env.step(Action.INC_SHARDS, PINNED)
-        _, reward_at_10, _, _ = env.step(Action.NOOP, PINNED)
+            env.step(Action.INC_SHARDS)
+        _, reward_at_10, _, _ = env.step(Action.NOOP)
         assert reward_at_10 == pytest.approx(0.1213, abs=5e-5)
 
         ramp_rewards = []
         for _ in range(15):
-            _, reward, _, _ = env.step(Action.INC_SHARDS, PINNED)
+            _, reward, _, _ = env.step(Action.INC_SHARDS)
             ramp_rewards.append(reward)
         assert env.sharding[0] == 25
         assert all(b > a for a, b in zip(ramp_rewards, ramp_rewards[1:]))
 
-        _, reward_at_25, _, _ = env.step(Action.NOOP, PINNED)
+        _, reward_at_25, _, _ = env.step(Action.NOOP)
         assert reward_at_25 == pytest.approx(1.2469, abs=5e-5)
 
     def test_step_after_terminal_raises(self):
         env, _ = pinned_env(rounds_per_episode=2)
         env.reset(Rng(0))
-        env.step(Action.NOOP, PINNED)
-        _, _, terminal, _ = env.step(Action.NOOP, PINNED)
+        env.step(Action.NOOP)
+        _, _, terminal, _ = env.step(Action.NOOP)
         assert terminal
         with pytest.raises(EpisodeFinishedError):
-            env.step(Action.NOOP, PINNED)
+            env.step(Action.NOOP)
 
 
 class TestActionValues:
@@ -196,10 +203,10 @@ class TestActionValues:
             Action(bad)
         env, _ = pinned_env()
         env.reset(Rng(0))
-        env.step(Action.INC_SHARDS, PINNED)
+        env.step(Action.INC_SHARDS)
         obs, records = env.observe(), list(env.log.records)
         with pytest.raises(ValueError):
-            env.step(bad, PINNED)
+            env.step(bad)
         assert np.array_equal(env.observe(), obs)  # round counter included
         assert env.sharding == (2, 8_000_000)
         assert env.log.records == records
@@ -214,9 +221,9 @@ class TestActionValues:
             env = ShardEnv(NetworkConfig(seed=4))
             rng = Rng(4)
             env.reset(rng)
-            env.step(Action.INC_SHARDS, rng)
-            env.step(Action.DEC_MSG, rng)
-            obs, reward, terminal, info = env.step(action, rng)
+            env.step(Action.INC_SHARDS)
+            env.step(Action.DEC_MSG)
+            obs, reward, terminal, info = env.step(action)
             steps.append((obs.tolist(), reward, terminal, info,
                            env.sharding, env.log.records))
         assert steps[0] == steps[1]
@@ -225,8 +232,8 @@ class TestActionValues:
         env, _ = pinned_env()
         env.reset(Rng(0))
         for action in Action:
-            env.step(action, PINNED)
-        env.force_setting(2, 8_000_000, PINNED)
+            env.step(action)
+        env.force_setting(2, 8_000_000)
         assert [r.action for r in env.log.records] == [
             "INC_SHARDS", "DEC_SHARDS", "INC_MSG", "DEC_MSG", "NOOP", "FORCED"]
 
@@ -240,7 +247,7 @@ class TestTrajectoryProperties:
         trace = [obs]
         while not env.terminal:
             action = Action(int(rng.integers(0, 4)))
-            obs, reward, _, _ = env.step(action, rng)
+            obs, reward, _, _ = env.step(action)
             trace.append((obs.tolist(), reward, *env.sharding, env.n_nodes))
         return trace, env.log
 
@@ -258,7 +265,7 @@ class TestTrajectoryProperties:
             env.reset(rng)
             while not env.terminal:
                 action = Action(int(rng.integers(0, 4)))
-                _, _, _, info = env.step(action, rng)
+                _, _, _, info = env.step(action)
                 k, s = env.sharding
                 n = env.n_nodes
                 assert 1 <= k <= n // cfg.min_shard_size
@@ -288,20 +295,22 @@ class TestTrajectoryProperties:
             env.reset(rng)
             while not env.terminal:
                 action = Action(int(rng.integers(0, 4)))
-                _, reward, _, _ = env.step(action, PINNED)
+                _, reward, _, _ = env.step(action)
                 assert reward <= best + 1e-12
 
 
 class TestBaseline:
-    def test_pinned_draws_keep_the_max_setting(self):
+    def test_pinned_draws_keep_the_max_setting(self, monkeypatch):
+        # run_baseline builds its env by the env module's global name
+        monkeypatch.setattr(env_module, "ShardEnv", PinnedEnv)
         cfg = pinned_config(rounds_per_episode=20)
-        run = run_baseline(cfg, 1, PINNED)
+        run = run_baseline(cfg, 1, Rng(4))
         assert len(run) == 1
         # re-derive via the log of an equivalent forced-setting episode
-        env = ShardEnv(cfg)
+        env = PinnedEnv(cfg)
         env.reset(Rng(4))
         while not env.terminal:
-            env.force_setting(25, cfg.avg_message_size_max, PINNED)
+            env.force_setting(25, cfg.avg_message_size_max)
         assert all(rec.num_shards == 25 and rec.message_size == 8_000_000
                    for rec in env.log.records)
 
@@ -309,9 +318,10 @@ class TestBaseline:
         cfg = NetworkConfig(rounds_per_episode=30)
         assert run_baseline(cfg, 3, Rng(6)) == run_baseline(cfg, 3, Rng(6))
 
-    def test_mean_matches_hand_composition(self):
+    def test_mean_matches_hand_composition(self, monkeypatch):
+        monkeypatch.setattr(env_module, "ShardEnv", PinnedEnv)
         cfg = pinned_config(rounds_per_episode=100)
-        mean = run_baseline(cfg, 1, PINNED)[0]
+        mean = run_baseline(cfg, 1, Rng(0))[0]
         first = straight_line_reward(25, 8_000_000, 100, *DRAWS, True)
         steady = straight_line_reward(25, 8_000_000, 100, *DRAWS, False)
         assert mean == pytest.approx((first + 99 * steady) / 100, abs=1e-9)
@@ -326,7 +336,7 @@ class TestBaseline:
                 while not env.terminal:
                     _, reward, _, _ = env.force_setting(
                         cfg.nodes_initial // cfg.min_shard_size,
-                        cfg.avg_message_size_max, rng)
+                        cfg.avg_message_size_max)
                     total += reward
                 expected.append(total / cfg.rounds_per_episode)
             assert len({rec.n_nodes for rec in env.log.records}) > 1
@@ -340,7 +350,7 @@ class TestRunEpisodes:
 
         def play(episode, obs):
             seen.append((episode, obs[3]))
-            result = env.step(Action.INC_SHARDS, rng)
+            result = env.step(Action.INC_SHARDS)
             totals[episode] += result[1]
             return result
 
@@ -385,7 +395,7 @@ class TestEpisodeRecord:
         env.reset(rng)
         steps = []
         for action in itertools.islice(itertools.cycle(Action), 20):
-            _, reward, _, info = env.step(action, rng)
+            _, reward, _, info = env.step(action)
             steps.append((action, reward, info, env.sharding, env.n_nodes))
         return cfg, env.log.records, steps
 

@@ -24,11 +24,10 @@ def test_step_info_carries_the_keys_the_tracer_counts():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     shard_env = env.ShardEnv(core.NetworkConfig(nodes_initial=60))
-    rng = core.Rng(0)
-    shard_env.reset(rng)
+    shard_env.reset(core.Rng(0))
     rec = tracing.Recorder()
-    tracing._count_step(rec, 0, (), shard_env.step(env.Action.INC_SHARDS, rng))
-    tracing._count_step(rec, 1, (), shard_env.force_setting(2, 8_000_000, rng))
+    tracing._count_step(rec, 0, (), shard_env.step(env.Action.INC_SHARDS))
+    tracing._count_step(rec, 1, (), shard_env.force_setting(2, 8_000_000))
     assert rec.counts["env.steps"] == 2
 
 
