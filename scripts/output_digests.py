@@ -11,7 +11,9 @@ digests its own code, and writes only into a temporary directory. Covered:
 `train` (30 epochs, seed 3) run twice, the same `train` with a 500-row
 replay ring, which its 3,000 pushes wrap six times, the same `train` with
 batches of 37 and 16 hidden units, sizes that are not multiples of a BLAS
-tile, so the gemms' edge kernels run end to end, a small `sweep` run
+tile, so the gemms' edge kernels run end to end, a 3-epoch `train` whose
+episodes are 1,500 rounds long, so each reset draws a 4,500-double path in
+one call (its `rewards.csv` alone), a small `sweep` run
 serially and on two workers and then serially again into the serial run's
 directory, so every cell is reused, `pos-demo` (7 verifiers, seed 2) under
 each mechanism, the same offchain `pos-demo` under a config file that sets
@@ -59,6 +61,7 @@ from semshard.config import read_manifest  # noqa: E402
 TRAIN_CFG = "[agent]\nepochs = 30\n"
 RING_CFG = TRAIN_CFG + "buffer_capacity = 500\n"
 EDGE_CFG = TRAIN_CFG + "batch_size = 37\nhidden_units = 16\n"
+LONG_CFG = "[network]\nrounds_per_episode = 1500\n[agent]\nepochs = 3\n"
 SWEEP_CFG = "[agent]\nepochs = 6\nepsilon_decay = true\n"
 SWEEP_GRID = "nodes=100,500;rates=60,100;seeds=1,2"
 # noise that drops three of the seven verifiers below the threshold
@@ -103,6 +106,7 @@ def main() -> int:
         (tmp / "train.cfg").write_text(TRAIN_CFG)
         (tmp / "ring.cfg").write_text(RING_CFG)
         (tmp / "edge.cfg").write_text(EDGE_CFG)
+        (tmp / "long.cfg").write_text(LONG_CFG)
         (tmp / "sweep.cfg").write_text(SWEEP_CFG)
         (tmp / "pos.cfg").write_text(POS_CFG)
 
@@ -114,6 +118,10 @@ def main() -> int:
             for name in ("rewards.csv", "network.bin"):
                 show(f"train --seed 3, {what}", name,
                      (out / name).read_bytes())
+        run(["train", str(tmp / "long.cfg"), "--seed", "3", "--out",
+             str(tmp / "long")])
+        show("train --seed 3, 1500 rnds", "rewards.csv",
+             (tmp / "long" / "rewards.csv").read_bytes())
 
         # the third run resumes the first in its directory: every cell reused
         for workers, what in (("1", "1"), ("2", "2"), ("1", "1, resumed")):

@@ -216,7 +216,11 @@ def parse_grid(text: str) -> ScenarioGrid:
             axis.append(value)
         if not axis:
             raise ConfigError(f"grid.{key}: must be non-empty")
-        if key != "seeds" and min(axis) <= 0:
+        if key == "seeds":
+            # Rng's rule, here so that the message names the grid
+            if min(axis) < 0 or max(axis) > 2**64 - 1:
+                raise ConfigError("grid.seeds: must fit in unsigned 64 bits")
+        elif min(axis) <= 0:
             raise ConfigError(f"grid.{key}: must be strictly positive")
         axes.append(tuple(axis))
     return ScenarioGrid(*axes)

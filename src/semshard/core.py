@@ -9,8 +9,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
-# Doubles an Rng draws from its generator in one call, served one by one
-BLOCK_DOUBLES = 4096
 # The widest range [low, high] that Rng.integers serves, high - low + 1
 MAX_INTEGER_SPAN = 2**32
 # The most bytes that one config key may size: one array, train's per-epoch
@@ -87,8 +85,9 @@ class NetworkConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"network.{name}: must be strictly positive")
         # a round holds its EpisodeRecord and its entries in reset's path:
-        # about 274 bytes with their numbers and list slots, as tracemalloc
-        # measured 200,000 rounds on CPython 3.11, rounded up to 288
+        # at most about 275 bytes with their numbers and list slots, as
+        # tracemalloc measured 200,000 rounds on CPython 3.11, rounded up
+        # to 288
         nbytes = self.rounds_per_episode * 288
         if nbytes > MAX_ARRAY_BYTES:
             raise ConfigError(f"network.rounds_per_episode: one episode's log "
@@ -215,11 +214,9 @@ class Rng:
     whose output stream is fixed for a given seed. One Rng instance must have
     a single owner; never share it across threads.
 
-    random(), uniform() and integers() serve consecutive doubles of the
-    generator's own random() stream from a block of BLOCK_DOUBLES drawn in
-    one call, drawn when the first of them is asked for and again each time
-    the block runs out: a numpy call per draw cost more than the draw.
-    normal() and bytes() bypass the block and read the generator itself.
+    Every draw reads the generator in call order: random(), uniform() and
+    integers() take consecutive doubles of its random() stream, one per
+    value, and normal() and bytes() read it as numpy defines them.
     """
 
     def __init__(self, seed: int):
@@ -227,49 +224,17 @@ class Rng:
             raise ConfigError("seed: must fit in unsigned 64 bits")
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._start_block(np.empty(0))
-
-    def _start_block(self, block: np.ndarray) -> None:
-        # a memoryview item is a Python float, and reads ~2x faster than
-        # ndarray.item
-        self._block, self._items = block, memoryview(block)
-        self._next, self._end = 0, len(block)
 
     def random(self) -> float:
         """The next double in [0, 1), as a Python float."""
-        i = self._next
-        if i == self._end:
-            self._start_block(self._gen.random(BLOCK_DOUBLES))
-            i = 0
-        self._next = i + 1
-        return self._items[i]
-
-    def _doubles(self, size) -> np.ndarray:
-        """The next doubles of the stream, in an array of shape size (an int
-        or a tuple). The array may view served doubles of a block, which
-        nothing writes; callers return arithmetic on it, never the view."""
-        n = size if type(size) is int else math.prod(size)
-        if n < 0:
-            raise ValueError(f"negative size {size}")
-        i, j = self._next, self._next + n
-        if j <= self._end:
-            self._next = j
-            served = self._block[i:j]
-        else:
-            # the rest of this block, then the generator's next doubles; the
-            # next block is an array of its own, since a view would keep the
-            # whole of a long draw alive
-            head = self._block[i:]
-            served = np.concatenate((head, self._gen.random(n - len(head))))
-            self._start_block(self._gen.random(BLOCK_DOUBLES))
-        return served if type(size) is int else served.reshape(size)
+        return self._gen.random()
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         """low + (high - low) * u for the next double u, or an array of
         shape size of them; a Python float when size is None."""
         if size is None:
             return low + (high - low) * self.random()
-        return low + (high - low) * self._doubles(size)
+        return low + (high - low) * self._gen.random(size)
 
     def integers(self, low: int, high: int, size=None):
         """Uniform integers on the inclusive range [low, high]: low +
@@ -295,7 +260,7 @@ class Rng:
         if size is None:
             return low + int(self.random() * span)
         # truncation is floor here, as u * span is not negative
-        drawn = (self._doubles(size) * span).astype(np.int64)
+        drawn = (self._gen.random(size) * span).astype(np.int64)
         if low:
             drawn += low
         return drawn

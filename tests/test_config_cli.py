@@ -185,6 +185,9 @@ class TestScenarioGrid:
         ("rates=inf", "grid.rates: inf is not finite"),
         ("rates=60,60.0000001", "grid.rates: repeated value"),
         ("rates=0.0000001", "grid.rates: must be strictly positive"),
+        ("seeds=-1", "grid.seeds: must fit in unsigned 64 bits"),
+        ("seeds=18446744073709551616",
+         "grid.seeds: must fit in unsigned 64 bits"),
         ("nodes=100;nodes=200", "grid.nodes: axis given twice"),
         ("seeds=1; rates=60;seeds =2", "grid.seeds: axis given twice"),
         # ranges that never end, or end after ~1e9 values or more: each is
@@ -812,6 +815,28 @@ class TestCmdPosDemo:
         assert cli.main(["pos-demo", "--mechanism", "offchain",
                          "--seed", "-1"]) == 2
         assert "network.seed" in capsys.readouterr().err
+
+    def test_zero_verifiers_exit_2_naming_the_flag(self, capsys):
+        assert cli.main(["pos-demo", "--mechanism", "offchain",
+                         "--verifiers", "0"]) == 2
+        assert capsys.readouterr().err \
+            == "error: --verifiers: must be at least 1\n"
+
+    @pytest.mark.parametrize("dim, verifiers", [
+        (8, 200_000_000), (8, MAX_ARRAY_BYTES // 1152 + 1),
+        (2**20, MAX_ARRAY_BYTES // (1024 + 2**24) + 1)])
+    def test_verifiers_past_1_gib_exit_2_before_building_any(
+            self, tmp_path, capsys, monkeypatch, dim, verifiers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verifier was built")
+        monkeypatch.setattr(cli, "VerifierNode", refuse)
+        path = tmp_path / "dim.cfg"
+        path.write_text(f"[network]\nsemantic_dim = {dim}\n")
+        assert cli.main(["pos-demo", str(path), "--mechanism", "offchain",
+                         "--verifiers", str(verifiers)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --verifiers: {verifiers} ")
+        assert captured.out == ""
 
     def test_semantic_vector_past_1_gib_exits_2_naming_key(self, tmp_path,
                                                           capsys):

@@ -7,10 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semshard.consensus import ratify_setting
-from semshard.core import (BLOCK_DOUBLES, MAX_ARRAY_BYTES, MAX_INTEGER_SPAN,
-                           ConfigError, Content, InvalidShardingError,
-                           NetworkConfig, Rng, VerifierNode, clamp_sharding,
-                           make_sharding_state, partition)
+from semshard.core import (MAX_ARRAY_BYTES, MAX_INTEGER_SPAN, ConfigError,
+                           Content, InvalidShardingError, NetworkConfig, Rng,
+                           VerifierNode, clamp_sharding, make_sharding_state,
+                           partition)
+
+# thousands of draws: the stream tests below interleave runs this long
+MANY = 4096
 
 
 class TestPartition:
@@ -135,17 +138,16 @@ class TestRng:
             == [float(b.uniform()) for _ in range(1_000)]
 
     def test_draws_serve_the_generators_own_doubles_in_order(self):
-        # scalar and sized draws, interleaved, one straddling the first
-        # refill and one longer than a whole block
+        # scalar and sized draws, interleaved, short and long
         rng = Rng(77)
         served = []
-        for _ in range(BLOCK_DOUBLES - 3):
+        for _ in range(MANY - 3):
             served.append(rng.random())
-        served.extend(rng.uniform(size=5))  # crosses the block's end
+        served.extend(rng.uniform(size=5))
         served.append(rng.random())
         served.extend(rng.uniform(size=(2, 3)).ravel())
-        served.extend(rng.uniform(size=BLOCK_DOUBLES + 10))
-        for _ in range(BLOCK_DOUBLES):
+        served.extend(rng.uniform(size=MANY + 10))
+        for _ in range(MANY):
             served.append(rng.random())
         expected = np.random.Generator(np.random.PCG64(77)).random(
             len(served))
@@ -162,7 +164,7 @@ class TestRng:
                                            (7_300_001.5, 61_100_000)])
     def test_uniform_is_low_plus_span_times_u(self, low, high):
         a, b = Rng(11), Rng(11)
-        for _ in range(BLOCK_DOUBLES + 7):
+        for _ in range(MANY + 7):
             assert a.uniform(low, high) == low + (high - low) * b.random()
         sized = a.uniform(low, high, size=100)
         assert np.array_equal(
@@ -203,23 +205,33 @@ class TestRng:
         rng = Rng(21)
         doubles, ints = rng.uniform(size=8), rng.integers(0, 99, size=8)
         kept = doubles.copy(), ints.copy()
-        rng.uniform(size=3 * BLOCK_DOUBLES)  # two refills
-        for _ in range(BLOCK_DOUBLES):
+        rng.uniform(size=3 * MANY)
+        for _ in range(MANY):
             rng.random()
         assert np.array_equal(doubles, kept[0])
         assert np.array_equal(ints, kept[1])
 
-    def test_a_long_draw_leaves_only_a_block_behind(self):
-        # the block that follows a draw past its end is an array of its
-        # own: a view into the draw's doubles would keep them all alive
+    def test_a_long_draw_leaves_nothing_behind(self):
+        # an Rng holds no doubles between draws: neither the long draw's
+        # nor any it drew ahead
         rng = Rng(23)
         tracemalloc.start()
         try:
             rng.uniform(size=(100_000, 3))
+            rng.random()
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < 2 * 8 * BLOCK_DOUBLES
+        assert held < 1024
+
+    @pytest.mark.parametrize("size", [-1, (2, -1)])
+    def test_a_negative_size_raises_and_consumes_nothing(self, size):
+        a, b = Rng(24), Rng(24)
+        with pytest.raises(ValueError):
+            a.uniform(size=size)
+        with pytest.raises(ValueError):
+            a.integers(0, 9, size=size)
+        assert a.random() == b.random()
 
     def test_writing_a_served_array_leaves_later_draws_alone(self):
         a, b = Rng(22), Rng(22)

@@ -78,8 +78,8 @@ class TestDraws:
         ({}, 3),
         ({"rate_min": 7_300_001.5, "rate_max": 61_100_000,
           "semantic_time_max": 13.7, "nodes_initial": 60}, 3),
-        # 3 * 1500 doubles a path, more than the Rng's 4096-double block:
-        # the second path takes the rest of a block, then fresh doubles
+        # 3 * 1500 doubles a path, each drawn in one call of more than
+        # 4096 doubles, then a second path right after it
         ({"rounds_per_episode": 1500, "nodes_min": 20, "node_walk_step": 9},
          2)], ids=["defaults", "int-rate-max", "past-a-block"])
     def test_rounds_draw_what_rng_uniform_draws(self, cfg_kwargs,
