@@ -23,8 +23,8 @@ import numpy as np
 from . import consensus
 from .config import (DEFAULT_GRID, RunConfig, config_hash, load_config,
                      parse_grid, read_manifest, write_manifest)
-from .core import (MAX_ARRAY_BYTES, ConfigError, Content,
-                   InvalidShardingError, Rng, VerifierNode)
+from .core import (ConfigError, Content, InvalidShardingError, Rng,
+                   VerifierNode, require_bytes, verifier_bytes)
 from .dqn import TrainRow, save_network, train
 from .env import ShardEnv, run_baseline
 from .throughput import round_latency, throughput
@@ -256,8 +256,10 @@ def cmd_eval_throughput(args) -> int:
         # least one transaction
         raise ConfigError(f"--msg-size: must be >= tx_size ({cfg.tx_size})")
     if not 1 <= args.shards <= args.nodes // cfg.min_shard_size:
-        # partition's rule, without building its list of --shards sizes
-        raise ConfigError(f"--shards: cannot split {args.nodes} nodes into "
+        # partition's rule, without building its list of --shards sizes; too
+        # few nodes for one shard is the fault of --nodes, whatever --shards
+        flag = "--nodes" if args.nodes < cfg.min_shard_size else "--shards"
+        raise ConfigError(f"{flag}: cannot split {args.nodes} nodes into "
                           f"{args.shards} shards of at least "
                           f"{cfg.min_shard_size}")
     try:
@@ -282,13 +284,8 @@ def cmd_pos_demo(args) -> int:
     if args.verifiers < 1:
         raise ConfigError("--verifiers: must be at least 1")
     cfg = _seeded(load_config(args.config), args.seed).network
-    # a verifier holds two float64 vectors, its knowledge and its result,
-    # and about 700 bytes more with its ledger entry, as tracemalloc measured
-    # 200,000 verifiers at dims 8 and 64 on CPython 3.11, rounded up to 1,024
-    nbytes = args.verifiers * (1024 + 16 * cfg.semantic_dim)
-    if nbytes > MAX_ARRAY_BYTES:
-        raise ConfigError(f"--verifiers: {args.verifiers} verifiers would "
-                          f"take {nbytes} bytes, more than {MAX_ARRAY_BYTES}")
+    require_bytes("--verifiers", f"{args.verifiers} verifiers",
+                  args.verifiers * verifier_bytes(cfg.semantic_dim))
     rng = Rng(cfg.seed)
 
     truth = rng.normal(1.0, cfg.semantic_dim)

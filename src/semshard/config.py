@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, get_type_hints
 
-from .core import ConfigError, NetworkConfig
+from .core import ConfigError, NetworkConfig, require_seed
 from .dqn import Hyperparameters
 
 ENV_PREFIX = "SEMSHARD"
@@ -217,9 +217,8 @@ def parse_grid(text: str) -> ScenarioGrid:
         if not axis:
             raise ConfigError(f"grid.{key}: must be non-empty")
         if key == "seeds":
-            # Rng's rule, here so that the message names the grid
-            if min(axis) < 0 or max(axis) > 2**64 - 1:
-                raise ConfigError("grid.seeds: must fit in unsigned 64 bits")
+            require_seed(min(axis), "grid.seeds")
+            require_seed(max(axis), "grid.seeds")
         elif min(axis) <= 0:
             raise ConfigError(f"grid.{key}: must be strictly positive")
         axes.append(tuple(axis))

@@ -25,6 +25,26 @@ class InvalidShardingError(ValueError):
     """Raised when a requested shard count cannot be satisfied by the node set."""
 
 
+def require_bytes(key: str, what: str, nbytes: int) -> None:
+    """ConfigError naming key if what would take more than MAX_ARRAY_BYTES."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigError(f"{key}: {what} would take {nbytes} bytes, more "
+                          f"than {MAX_ARRAY_BYTES}")
+
+
+def require_seed(value: int, key: str) -> None:
+    """ConfigError naming key unless value fits a seed's unsigned 64 bits."""
+    if not 0 <= value <= 2**64 - 1:
+        raise ConfigError(f"{key}: must fit in unsigned 64 bits")
+
+
+def verifier_bytes(semantic_dim: int) -> int:
+    """A pos-demo verifier's bytes: its knowledge and result float64 vectors
+    and ~700 more with its ledger entry (tracemalloc, 200,000 verifiers at
+    dims 8 and 64, CPython 3.11), rounded up to 1,024."""
+    return 1024 + 16 * semantic_dim
+
+
 def require_finite(config, section: str) -> None:
     """ConfigError naming the first float field of a config that is NaN or
     infinite: range checks pass NaN, and inf passes a lower bound."""
@@ -74,30 +94,19 @@ class NetworkConfig:
             except OverflowError:
                 raise ConfigError(f"network.{f.name}: too large for a "
                                   "float") from None
-        positive = (
-            "config_latency", "validation_delay", "avg_message_size_max",
-            "semantic_time_max", "rate_min", "rate_max", "nodes_initial",
-            "tx_size", "message_size_min", "message_size_step",
-            "rounds_per_episode", "nodes_min", "nodes_max", "node_walk_step",
-            "noise_sigma", "semantic_dim", "reward_scale",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"network.{name}: must be strictly positive")
-        # a round holds its EpisodeRecord and its entries in reset's path:
-        # at most about 275 bytes with their numbers and list slots, as
-        # tracemalloc measured 200,000 rounds on CPython 3.11, rounded up
-        # to 288
-        nbytes = self.rounds_per_episode * 288
-        if nbytes > MAX_ARRAY_BYTES:
-            raise ConfigError(f"network.rounds_per_episode: one episode's log "
-                              f"and path would take {nbytes} bytes, more than "
-                              f"{MAX_ARRAY_BYTES}")
-        if self.semantic_dim * 8 > MAX_ARRAY_BYTES:
-            # one semantic vector of float64s
-            raise ConfigError(f"network.semantic_dim: one semantic vector "
-                              f"would take {self.semantic_dim * 8} bytes, "
-                              f"more than {MAX_ARRAY_BYTES}")
+        for f in fields(self):
+            # these three have their own lower bounds below
+            if (f.name not in ("min_shard_size", "accuracy_threshold", "seed")
+                    and getattr(self, f.name) <= 0):
+                raise ConfigError(f"network.{f.name}: must be strictly positive")
+        # a round holds its EpisodeRecord and its entries in reset's path: at
+        # most ~275 bytes with their numbers and list slots, as tracemalloc
+        # measured 200,000 rounds on CPython 3.11, rounded up to 288
+        require_bytes("network.rounds_per_episode", "one episode's log and "
+                      "path", self.rounds_per_episode * 288)
+        # so that a config that loads runs pos-demo --verifiers 1
+        require_bytes("network.semantic_dim", "one verifier",
+                      verifier_bytes(self.semantic_dim))
         if 2 * self.node_walk_step + 1 > MAX_INTEGER_SPAN:
             # a walk is made on [-step, step] as Rng.integers makes it
             raise ConfigError("network.node_walk_step: the walk's span "
@@ -122,8 +131,7 @@ class NetworkConfig:
             raise ConfigError("network.nodes_initial: exceeds nodes_max")
         if not 0.0 <= self.accuracy_threshold <= 1.0:
             raise ConfigError("network.accuracy_threshold: must be in [0, 1]")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ConfigError("network.seed: must fit in unsigned 64 bits")
+        require_seed(self.seed, "network.seed")
 
     @property
     def max_shards_cap(self) -> int:
@@ -220,8 +228,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if seed < 0 or seed > 2**64 - 1:
-            raise ConfigError("seed: must fit in unsigned 64 bits")
+        require_seed(seed, "seed")
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 

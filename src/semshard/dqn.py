@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MAX_ARRAY_BYTES, ConfigError, Rng, require_finite
+from .core import ConfigError, Rng, require_bytes, require_finite
 from .env import NUM_ACTIONS, OBSERVATION_SIZE, Action, ShardEnv, run_episodes
 
 
@@ -79,14 +79,11 @@ class Hyperparameters:
                  2 * _theta_size(*sizes) * 4),
                 ("batch_size", "one batch's hidden layers",
                  2 * self.batch_size * self.hidden_units * 4),
-                # train holds per epoch an epsilon, a mean reward and a mean
-                # loss, each a float (24 bytes) in a list slot (8), and one
-                # TrainRow with its epoch int: 240 bytes in all, as
-                # tracemalloc measured it on CPython 3.11, rounded up to 256
+                # per epoch, train holds an epsilon, a mean reward and a mean
+                # loss, floats (24 bytes) in list slots (8), and a TrainRow:
+                # 240 bytes by tracemalloc on CPython 3.11, rounded up to 256
                 ("epochs", "train's per-epoch records", self.epochs * 256)):
-            if nbytes > MAX_ARRAY_BYTES:
-                raise ConfigError(f"agent.{name}: {what} would take {nbytes} "
-                                  f"bytes, more than {MAX_ARRAY_BYTES}")
+            require_bytes(f"agent.{name}", what, nbytes)
 
 
 def _theta_size(input_size: int, hidden_size: int, output_size: int) -> int:

@@ -733,6 +733,7 @@ class TestCmdEvalThroughput:
         ("--rate", "0"), ("--rate", "nan"), ("--rate", "inf"),
         ("--msg-size", "-5"), ("--sem-time", "-1"), ("--sem-time", "inf"),
         ("--rate", "1e-320"), ("--msg-size", "1"),
+        ("--nodes", "0"), ("--nodes", "3"), ("--nodes", "-8"),
         pytest.param("--nodes", str(10**160), id="--nodes-10**160"),
         pytest.param("--nodes", str(10**400), id="--nodes-10**400"),
         pytest.param("--msg-size", str(10**400), id="--msg-size-10**400")])
@@ -840,11 +841,26 @@ class TestCmdPosDemo:
 
     def test_semantic_vector_past_1_gib_exits_2_naming_key(self, tmp_path,
                                                           capsys):
+        # one verifier takes 1,024 bytes and two float64 vectors
+        widest = (MAX_ARRAY_BYTES - 1024) // 16
         path = tmp_path / "wide.cfg"
-        path.write_text(f"[network]\nsemantic_dim = "
-                        f"{MAX_ARRAY_BYTES // 8 + 1}\n")
+        path.write_text(f"[network]\nsemantic_dim = {widest}\n")
+        assert load_config(str(path), environ={}).network.semantic_dim \
+            == widest
+        path.write_text(f"[network]\nsemantic_dim = {widest + 1}\n")
         assert cli.main(["pos-demo", str(path),
                          "--mechanism", "offchain"]) == 2
         captured = capsys.readouterr()
         assert "network.semantic_dim" in captured.err
+        assert captured.out == ""
+
+    def test_dim_too_wide_for_one_verifier_exits_2_naming_key(self, tmp_path,
+                                                              capsys):
+        # it must load only if pos-demo --verifiers 1 can run on it
+        path = tmp_path / "wide.cfg"
+        path.write_text("[network]\nsemantic_dim = 100000000\n")
+        assert cli.main(["pos-demo", str(path), "--mechanism", "offchain",
+                         "--verifiers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: network.semantic_dim: ")
         assert captured.out == ""

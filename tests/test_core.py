@@ -86,8 +86,9 @@ class TestNetworkConfig:
         # 288 bytes a round, its log record and its path entries
         (dict(rounds_per_episode=MAX_ARRAY_BYTES // 288 + 1),
          "rounds_per_episode"),
-        # 8 bytes a vector component
-        (dict(semantic_dim=MAX_ARRAY_BYTES // 8 + 1), "semantic_dim"),
+        # one pos-demo verifier: 1,024 bytes and two float64 vectors
+        (dict(semantic_dim=(MAX_ARRAY_BYTES - 1024) // 16 + 1),
+         "semantic_dim"),
     ])
     def test_invalid_values_name_the_key(self, kwargs, key):
         with pytest.raises(ConfigError, match=key):
@@ -98,7 +99,9 @@ class TestNetworkConfig:
         NetworkConfig(rounds_per_episode=MAX_ARRAY_BYTES // 288)
 
     def test_widest_semantic_vector_that_fits_is_accepted(self):
-        NetworkConfig(semantic_dim=MAX_ARRAY_BYTES // 8)
+        # the widest whose one pos-demo verifier fits
+        assert (MAX_ARRAY_BYTES - 1024) // 16 == 67_108_800
+        NetworkConfig(semantic_dim=(MAX_ARRAY_BYTES - 1024) // 16)
 
     def test_int_a_float_holds_is_accepted(self):
         # the largest int that float() rounds to a finite value

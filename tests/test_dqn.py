@@ -16,7 +16,7 @@ from dqn_oracles import (gradient_check_instance,
                          reference_train_step)
 from pinned_draws import PinnedEnv, pinned_config
 from semshard import cli
-from semshard.core import ConfigError, NetworkConfig, Rng
+from semshard.core import MAX_ARRAY_BYTES, ConfigError, NetworkConfig, Rng
 from semshard.dqn import (Hyperparameters, QNetwork, ReplayBuffer, TrainRow,
                           act, epsilon_for_epoch, load_network, save_network,
                           sync_target, td_targets, train, train_step)
@@ -685,7 +685,7 @@ class TestHyperparameters:
     def test_array_bounds_hold_to_the_byte(self):
         # the largest value whose array fits MAX_ARRAY_BYTES loads; one more
         # is rejected naming its key, and neither allocates anything
-        limit = dqn.MAX_ARRAY_BYTES
+        limit = MAX_ARRAY_BYTES
         for key, fits, others in (
                 ("buffer_capacity", limit // 40, {}),  # 2 rows x 5 x 4 bytes
                 ("hidden_units", (limit - 40) // 80,  # 2 x (10 h + 5) x 4

@@ -19,6 +19,8 @@ import warnings
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
 COMMITTED = Path(__file__).with_name("output_digests.txt")
 
@@ -42,6 +44,9 @@ def twins(digests) -> dict[tuple[str, str], list[str]]:
     return groups
 
 
+# the repo's pytest settings make warnings errors; this one reports the
+# twins-only comparison and must not fail it
+@pytest.mark.filterwarnings("default:this machine:UserWarning")
 def test_outputs_match_the_committed_digests():
     run = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True,
                          text=True, timeout=600)
